@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test race fuzz chaos vet fmt lint lint-repolint lint-extra ci bench bench-go bench-sweep bench-replay
+.PHONY: all build test race fuzz chaos vet fmt lint lint-repolint lint-extra ci bench bench-go bench-sweep
 
 all: build
 
@@ -77,13 +77,6 @@ ci: fmt vet lint build test
 # BENCH_*.json trajectory tracking (throughput sweep + engine calibration),
 # and prints the Go micro-benchmarks for the hot paths.
 bench: bench-go bench-sweep
-
-# bench-replay regenerates the replay-vs-generate snapshot: the 72-shard
-# multi-observer grid timed generate / cold-replay / warm-replay, with the
-# bit-identity of all three reports asserted in-process.
-bench-replay:
-	$(GO) run ./cmd/rebalance-bench -replay-bench -seeds 4 -insts 2000000 -reps 5 -out BENCH_results_pr10_replay.json
-	@echo "wrote BENCH_results_pr10_replay.json"
 
 bench-go:
 	$(GO) test -run '^$$' -bench . -benchmem ./internal/...

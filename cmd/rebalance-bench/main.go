@@ -26,15 +26,6 @@
 // it exactly as if it had run the sweep itself — the report is
 // byte-identical up to timing fields, by the coordinator's contract.
 //
-// With -trace-entries or -trace-dir the local pool materializes each
-// (workload, seed) coordinate's instruction stream once and replays it
-// through every other observer configuration of that coordinate (see
-// internal/trace/replay); -trace-dir persists the traces across runs. With
-// -replay-bench the process instead measures what that buys: a fixed
-// 9-configuration multi-observer grid timed generate-per-shard versus cold
-// and warm replay, emitted as a replay-bench/v1 snapshot
-// (BENCH_results_pr10_replay.json is one of these).
-//
 // Usage:
 //
 //	rebalance-bench [-workloads comd-lite,xalan-lite] [-seeds 4]
@@ -42,7 +33,6 @@
 //	                [-insts 2000000] [-workers N] [-calibrate 2000000]
 //	                [-backends http://host1:8080,http://host2:8080]
 //	                [-coordinator http://front:8080] [-tenant bench]
-//	                [-trace-entries 64] [-trace-dir DIR] [-replay-bench]
 //	                [-out report.json]
 package main
 
@@ -62,7 +52,6 @@ import (
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/stats"
 	"rebalance/internal/trace"
-	"rebalance/internal/trace/replay"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
 )
@@ -151,23 +140,10 @@ func main() {
 		tenantFlag    = flag.String("tenant", "bench", "tenant name submitted with -coordinator sweeps")
 		partialFlag   = flag.Bool("allow-partial", false, "degrade instead of failing when shards exhaust their retries: completed shards are reported, abandoned ones become failed_shards entries")
 		hedgeFlag     = flag.Bool("hedge", false, "with -backends, duplicate straggling shards onto a second healthy worker after a latency-derived delay; first result wins")
-		traceEntsFlag = flag.Int("trace-entries", 0, "materialized trace store for the local pool: max in-memory traces (0 disables replay; -trace-dir alone enables it with the default bound)")
-		traceDirFlag  = flag.String("trace-dir", "", "persist materialized traces under this directory (implies replay; survives restarts)")
-		replayFlag    = flag.Bool("replay-bench", false, "run the replay-vs-generate benchmark instead of a sweep: a 9-configuration multi-observer grid timed three ways, emitted as a replay-bench/v1 snapshot")
-		repsFlag      = flag.Int("reps", 3, "with -replay-bench, repetitions per timed pass; walls report the minimum")
 		outFlag       = flag.String("out", "", "write the JSON report to this file (default stdout)")
 	)
 	flag.Parse()
-	var err error
-	if *replayFlag {
-		if *backendsFlag != "" || *coordFlag != "" {
-			err = fmt.Errorf("-replay-bench runs locally: the trace store is a per-process tier, so -backends/-coordinator would measure the wrong process")
-		} else {
-			err = runReplayBench(*workloadsFlag, *seedsFlag, *instsFlag, *workersFlag, *repsFlag, *traceEntsFlag, *traceDirFlag, *outFlag)
-		}
-	} else {
-		err = run(*workloadsFlag, *synthFlag, *seedsFlag, *instsFlag, *workersFlag, *calibFlag, *backendsFlag, *coordFlag, *tenantFlag, *partialFlag, *hedgeFlag, *traceEntsFlag, *traceDirFlag, *outFlag)
-	}
+	err := run(*workloadsFlag, *synthFlag, *seedsFlag, *instsFlag, *workersFlag, *calibFlag, *backendsFlag, *coordFlag, *tenantFlag, *partialFlag, *hedgeFlag, *outFlag)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "rebalance-bench:", err)
 		os.Exit(1)
@@ -194,15 +170,12 @@ func parseWorkloads(csv string) ([]string, error) {
 	return names, nil
 }
 
-func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, calibInsts int64, backendsCSV, coordinator, tenant string, allowPartial, hedge bool, traceEntries int, traceDir, out string) error {
+func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, calibInsts int64, backendsCSV, coordinator, tenant string, allowPartial, hedge bool, out string) error {
 	if seeds < 1 || insts < 1 || workers < 1 {
 		return fmt.Errorf("seeds, insts, and workers must be positive")
 	}
 	if hedge && backendsCSV == "" {
 		return fmt.Errorf("-hedge needs -backends: a local pool has no second worker to duplicate stragglers onto")
-	}
-	if (traceEntries > 0 || traceDir != "") && (backendsCSV != "" || coordinator != "") {
-		return fmt.Errorf("-trace-entries/-trace-dir apply to the local pool: a dispatched sweep's traces live on its workers")
 	}
 	if coordinator != "" && backendsCSV != "" {
 		return fmt.Errorf("-coordinator and -backends are mutually exclusive: the coordinator owns its own worker fleet")
@@ -239,13 +212,6 @@ func run(workloadsCSV, synthCSV string, seeds int, insts int64, workers int, cal
 	// registered predictor configuration over every workload (registered
 	// and synthetic) and seed.
 	sess := sim.NewSession(workers)
-	if traceEntries > 0 || traceDir != "" {
-		traces, err := replay.New(replay.Options{MaxEntries: traceEntries, Dir: traceDir})
-		if err != nil {
-			return err
-		}
-		sess.SetTraceStore(traces)
-	}
 	if backendsCSV != "" {
 		backends, err := dispatch.ParseBackends(backendsCSV, dispatch.DefaultClient())
 		if err != nil {

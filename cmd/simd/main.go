@@ -60,13 +60,6 @@
 // -cache-entries/-cache-bytes bound the in-memory tier (0 entries disables
 // caching); -cache-dir adds a disk tier that survives restarts.
 //
-// -trace-entries/-trace-dir enable the materialized trace store
-// (internal/trace/replay): each (workload, seed, insts) coordinate's
-// instruction stream is generated once and replayed through every further
-// observer that asks for it, so a multi-observer sweep pays generation
-// once per coordinate instead of once per shard. -trace-dir persists the
-// encoded streams across restarts, the same shape as -cache-dir.
-//
 // On SIGINT/SIGTERM the server stops accepting connections and drains
 // in-flight runs (http.Server.Shutdown) before exiting, so killing a
 // worker never truncates a shard response mid-body — a coordinator either
@@ -81,7 +74,6 @@
 //	     [-queue-depth 64] [-max-running 2] [-retain 15m]
 //	     [-backends http://w1:8081,http://w2:8082] [-hedge]
 //	     [-cache-entries 4096] [-cache-bytes 268435456] [-cache-dir DIR]
-//	     [-trace-entries 64] [-trace-dir DIR]
 package main
 
 import (
@@ -105,7 +97,6 @@ import (
 	"rebalance/internal/sim/dispatch"
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/sim/sweep"
-	"rebalance/internal/trace/replay"
 	"rebalance/internal/wire"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
@@ -131,8 +122,6 @@ func main() {
 		cacheEntsFlag = flag.Int("cache-entries", 4096, "shard result cache: max in-memory entries (0 disables the cache)")
 		cacheByteFlag = flag.Int64("cache-bytes", 256<<20, "shard result cache: max in-memory payload bytes")
 		cacheDirFlag  = flag.String("cache-dir", "", "shard result cache: directory for the persistent disk tier (empty = memory only)")
-		traceEntsFlag = flag.Int("trace-entries", 0, "materialized trace store: max in-memory traces (0 disables replay; -trace-dir alone enables it with the default bound)")
-		traceDirFlag  = flag.String("trace-dir", "", "materialized trace store: directory for the persistent disk tier (empty = memory only)")
 	)
 	flag.Parse()
 	if *workerFlag && *backendsFlag != "" {
@@ -155,16 +144,6 @@ func main() {
 			log.Fatalf("simd: %v", err)
 		}
 		sess.SetCache(cache)
-	}
-	if *traceEntsFlag > 0 || *traceDirFlag != "" {
-		traces, err := replay.New(replay.Options{
-			MaxEntries: *traceEntsFlag,
-			Dir:        *traceDirFlag,
-		})
-		if err != nil {
-			log.Fatalf("simd: %v", err)
-		}
-		sess.SetTraceStore(traces)
 	}
 	cfg := serverConfig{sess: sess, maxInsts: *maxInstsFlag, worker: *workerFlag}
 	if *backendsFlag != "" {
@@ -267,7 +246,7 @@ func newServer(cfg serverConfig) http.Handler {
 		writeJSON(w, http.StatusOK, cacheSection(sess))
 	})
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		out := map[string]any{"cache": cacheSection(sess), "traces": traceSection(sess)}
+		out := map[string]any{"cache": cacheSection(sess)}
 		if cfg.dispatcher != nil {
 			out["dispatch"] = cfg.dispatcher.Stats()
 		}
@@ -358,17 +337,6 @@ func cacheSection(sess *sim.Session) map[string]any {
 		return map[string]any{"enabled": false, "stats": shardcache.Stats{}}
 	}
 	return map[string]any{"enabled": true, "stats": cache.Stats()}
-}
-
-// traceSection is the materialized-trace-store stats block /v1/stats
-// embeds: generation hit/miss counters and resident bytes, the gauges the
-// replay CI smoke cross-checks against shard counts.
-func traceSection(sess *sim.Session) map[string]any {
-	traces := sess.TraceStore()
-	if traces == nil {
-		return map[string]any{"enabled": false, "stats": replay.Stats{}}
-	}
-	return map[string]any{"enabled": true, "stats": traces.Stats()}
 }
 
 // sweepView is the GET /v1/sweeps/{id} body: the status snapshot plus the

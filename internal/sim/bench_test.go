@@ -3,15 +3,15 @@ package sim
 import (
 	"context"
 	"encoding/json"
+	"sync"
 	"testing"
-
-	"rebalance/internal/trace/replay"
 )
 
 // benchSweepSpec is a scaled-down multi-observer sweep in the shape of the
-// -replay-bench grid: nine observer configurations over every (workload,
-// seed) coordinate, so each coordinate's stream is consumed nine times and
-// the generate-versus-replay difference is what a real mixed sweep sees.
+// paper's characterization grid: nine observer configurations over every
+// (workload, seed) coordinate, so each coordinate's stream feeds nine
+// observers and fusing them onto one pass saves what a real mixed sweep
+// would.
 func benchSweepSpec(insts int64) *Spec {
 	return &Spec{
 		Workloads: []string{"comd-lite", "xalan-lite"},
@@ -27,57 +27,71 @@ func benchSweepSpec(insts int64) *Spec {
 	}
 }
 
-// BenchmarkReplayVsGenerate times the same 36-shard multi-observer sweep
-// three ways: regenerating the stream for every shard, replaying through a
-// cold trace store (one generation per coordinate), and replaying through
-// a warm one (no generations at all). The warm/generate ratio is the
-// stream-once win the trace store exists for.
-func BenchmarkReplayVsGenerate(b *testing.B) {
-	const insts = 200_000
+// BenchmarkFusedVsPerShard times the same 36-shard multi-observer grid two
+// ways on two workers: per-shard, every shard its own RunShard call that
+// regenerates the coordinate's stream, and fused, one Session.Run that
+// generates each coordinate once with all nine observers attached. The
+// per-shard/fused ratio is the fusing win, measured in one process.
+func BenchmarkFusedVsPerShard(b *testing.B) {
+	const insts, workers = 200_000, 2
 	spec := benchSweepSpec(insts)
 	ctx := context.Background()
-
-	run := func(b *testing.B, sess *Session) {
-		b.Helper()
-		rep, err := sess.Run(ctx, spec)
-		if err != nil {
-			b.Fatal(err)
+	norm, err := spec.normalized(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfgs, err := expandObservers(norm.Observers)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var shards []ShardSpec
+	for _, w := range norm.Workloads {
+		for _, cfg := range cfgs {
+			for _, seed := range norm.Seeds {
+				shards = append(shards, ShardSpec{Workload: w, Seed: seed, Insts: insts, Observer: cfg.Spec()})
+			}
 		}
-		b.SetBytes(rep.TotalInsts)
 	}
 
-	b.Run("generate", func(b *testing.B) {
-		sess := NewSession(2)
+	b.Run("per-shard", func(b *testing.B) {
+		sess := NewSession(workers)
 		for b.Loop() {
-			run(b, sess)
+			next := make(chan ShardSpec)
+			var wg sync.WaitGroup
+			var total int64
+			var mu sync.Mutex
+			for range workers {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for sp := range next {
+						sh, err := sess.RunShard(ctx, sp)
+						if err != nil {
+							b.Error(err)
+							continue // keep draining so the feeder never blocks
+						}
+						mu.Lock()
+						total += sh.Insts
+						mu.Unlock()
+					}
+				}()
+			}
+			for _, sp := range shards {
+				next <- sp
+			}
+			close(next)
+			wg.Wait()
+			b.SetBytes(total)
 		}
 	})
-	b.Run("replay-cold", func(b *testing.B) {
+	b.Run("fused", func(b *testing.B) {
+		sess := NewSession(workers)
 		for b.Loop() {
-			b.StopTimer()
-			traces, err := replay.New(replay.Options{})
+			rep, err := sess.Run(ctx, spec)
 			if err != nil {
 				b.Fatal(err)
 			}
-			sess := NewSession(2)
-			sess.SetTraceStore(traces)
-			b.StartTimer()
-			run(b, sess)
-		}
-	})
-	b.Run("replay-warm", func(b *testing.B) {
-		traces, err := replay.New(replay.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		sess := NewSession(2)
-		sess.SetTraceStore(traces)
-		if _, err := sess.Run(ctx, spec); err != nil {
-			b.Fatal(err) // warm the store outside the timed loop
-		}
-		b.ResetTimer()
-		for b.Loop() {
-			run(b, sess)
+			b.SetBytes(rep.TotalInsts)
 		}
 	})
 }

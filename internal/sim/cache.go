@@ -92,17 +92,14 @@ func (s *Session) Cache() *shardcache.Cache { return s.cache }
 // bit-identical (up to timing fields and the Cached mark) to a cold one.
 // The leader of a cold compute returns its in-process result directly.
 func (s *Session) cachedShard(ctx context.Context, c *trace.Compiled, job *shardJob, norm *Spec) (Shard, error) {
+	exec := func() (Shard, error) {
+		shards, errs := execGroup(ctx, c, []*shardJob{job}, norm)
+		return shards[0], errs[0]
+	}
 	if s.cache == nil {
-		return s.execShard(ctx, c, job, norm)
+		return exec()
 	}
-	spec := ShardSpec{
-		Workload: job.workload,
-		Synth:    job.synth,
-		Seed:     job.seed,
-		Insts:    norm.Insts,
-		Engine:   norm.Engine,
-		Observer: job.cfg.Spec(),
-	}
+	spec := job.spec(norm)
 	key := ShardCacheKey(spec, job.cfg)
 	// A cached record that no longer decodes (e.g. an entry written by an
 	// incompatible build) must degrade to a recompute, never fail the run:
@@ -114,7 +111,7 @@ func (s *Session) cachedShard(ctx context.Context, c *trace.Compiled, job *shard
 	for attempt := 0; ; attempt++ {
 		var computed *Shard
 		data, hit, err := s.cache.Do(ctx, key, func() ([]byte, error) {
-			sh, err := s.execShard(ctx, c, job, norm)
+			sh, err := exec()
 			if err != nil {
 				return nil, err
 			}
@@ -140,7 +137,7 @@ func (s *Session) cachedShard(ctx context.Context, c *trace.Compiled, job *shard
 		}
 		s.cache.Remove(key)
 		if attempt > 0 {
-			return s.execShard(ctx, c, job, norm)
+			return exec()
 		}
 	}
 }

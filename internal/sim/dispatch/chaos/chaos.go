@@ -8,10 +8,13 @@
 // connection drops, and corrupted or truncated payloads; a flapping
 // window that takes the whole backend down periodically; and a poison
 // list that fails specific shards permanently. An Injector draws every
-// fault decision from a splitmix64 stream seeded by (schedule seed, call
-// index), so a given call index always sees the same faults regardless of
-// goroutine interleaving — reruns of a soak hit an identical fault plan
-// even though the scheduler is free to order work differently.
+// per-call fault from a splitmix64 stream seeded by (schedule seed, shard
+// key, that shard's call count on the injector), so the n-th call for a
+// given shard always sees the same faults regardless of goroutine
+// interleaving — reruns of a soak hit an identical fault plan even though
+// the scheduler is free to order work, and other shards' calls, however it
+// likes. Only flapping, a whole-backend fault, follows the injector's
+// global call count.
 //
 // The package wraps the dispatch layer at two levels. Wrap decorates a
 // dispatch.Backend, turning fault decisions into backend errors (the
@@ -27,6 +30,7 @@ package chaos
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -36,6 +40,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -46,11 +51,12 @@ import (
 
 // Schedule is a declarative fault plan. All probabilities are per backend
 // call in [0, 1] and are drawn independently in a fixed order, so the
-// fault a given call suffers depends only on Seed and the call's index.
-// The zero Schedule injects nothing.
+// fault a given call suffers depends only on Seed, the shard it carries,
+// and how many calls for that shard the injector has already seen. The
+// zero Schedule injects nothing.
 type Schedule struct {
 	// Seed keys the fault stream: two injectors with the same schedule
-	// produce identical fault sequences, call index by call index.
+	// produce identical fault sequences for each shard, call by call.
 	Seed uint64 `json:"seed"`
 	// PLatency is the probability of a latency spike, drawn uniformly
 	// from [LatencyMinMS, LatencyMaxMS] milliseconds. The sleep is
@@ -71,9 +77,9 @@ type Schedule struct {
 	// retryable backend failures, never as wrong results.
 	PCorrupt  float64 `json:"p_corrupt,omitempty"`
 	PTruncate float64 `json:"p_truncate,omitempty"`
-	// FlapPeriod, in calls, makes the backend flap: call indices in every
-	// other window of this length all fail fast, simulating a worker that
-	// dies and comes back repeatedly. 0 disables flapping.
+	// FlapPeriod, in calls, makes the backend flap: global call indices in
+	// every other window of this length all fail fast, simulating a worker
+	// that dies and comes back repeatedly. 0 disables flapping.
 	FlapPeriod int `json:"flap_period,omitempty"`
 	// Poison permanently fails the matching shards — the permanent fault
 	// behind the exact-surviving-set soak: however many attempts the
@@ -144,11 +150,15 @@ func DecodeSchedule(data []byte) (*Schedule, error) {
 }
 
 // Injector turns a Schedule into per-call fault decisions. Safe for
-// concurrent use: the only mutable state is the atomic call counter, and
-// each call's decisions are a pure function of (seed, index).
+// concurrent use: the mutable state is the global call counter (flapping
+// only) and the per-shard call counts, and each call's other decisions are
+// a pure function of (seed, shard key, shard call count).
 type Injector struct {
 	sched Schedule
 	calls atomic.Uint64
+
+	mu         sync.Mutex
+	shardCalls map[string]uint64
 }
 
 // New validates the schedule and returns its injector.
@@ -156,7 +166,7 @@ func New(s Schedule) (*Injector, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Injector{sched: s}, nil
+	return &Injector{sched: s, shardCalls: map[string]uint64{}}, nil
 }
 
 // Calls reports how many fault decisions have been drawn — a soak's
@@ -175,14 +185,26 @@ type faults struct {
 	mut      uint64 // randomness for corruption/truncation positions
 }
 
-// call reserves the next call index and draws its faults. Decisions are
-// drawn in a fixed order from a stream keyed by (seed, index), so the
-// fault plan is a pure function of the schedule — concurrent callers race
-// only for indices, not for outcomes.
-func (in *Injector) call() (uint64, faults) {
+// call reserves the next global call index and the next call count of
+// the shard named by key, and draws the call's faults. Decisions are drawn
+// in a fixed order from a stream keyed by (seed, key, count), so the
+// fault plan is a pure function of the schedule and the shard's own
+// history — concurrent calls for other shards cannot shift it. It returns
+// the shard call count (0 for the first call) for error messages.
+func (in *Injector) call(key string) (uint64, faults) {
 	idx := in.calls.Add(1) - 1
+	in.mu.Lock()
+	n := in.shardCalls[key]
+	in.shardCalls[key] = n + 1
+	in.mu.Unlock()
 	s := &in.sched
-	r := newFaultRand(s.Seed, idx)
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	// Each call's stream starts at a fully mixed point, so consecutive
+	// calls of one shard draw independent faults instead of overlapping
+	// windows of one stream (where a single low draw would fault several
+	// retries in a row).
+	r := &faultRand{state: mix64(s.Seed ^ h.Sum64() ^ mix64(n))}
 	f := faults{
 		down:     s.FlapPeriod > 0 && (idx/uint64(s.FlapPeriod))%2 == 1,
 		hang:     r.hit(s.PHang),
@@ -199,7 +221,37 @@ func (in *Injector) call() (uint64, faults) {
 		f.latency = time.Duration(ms) * time.Millisecond
 	}
 	f.mut = r.next()
-	return idx, f
+	return n, f
+}
+
+// shardKey names the shard a backend call carries: its spec's JSON, which
+// the dispatcher sends unchanged on every attempt.
+func shardKey(spec sim.ShardSpec) string {
+	data, err := json.Marshal(spec)
+	if err != nil {
+		return fmt.Sprintf("%s/%d/%s", spec.Workload, spec.Seed, spec.Observer.Kind)
+	}
+	return string(data)
+}
+
+// requestKey names the shard an HTTP request carries: method, path and
+// body. The body is read from a fresh GetBody copy so the request itself
+// is left untouched; a request without one is keyed by method and path.
+func requestKey(req *http.Request) string {
+	key := req.Method + " " + req.URL.Path
+	if req.GetBody == nil {
+		return key
+	}
+	body, err := req.GetBody()
+	if err != nil {
+		return key
+	}
+	defer body.Close()
+	data, err := io.ReadAll(io.LimitReader(body, maxChaosBody))
+	if err != nil {
+		return key
+	}
+	return key + "\n" + string(data)
 }
 
 // flappedDown reports the flap state at the current call index without
@@ -213,8 +265,8 @@ func (in *Injector) flappedDown() bool {
 	return (in.calls.Load()/uint64(fp))%2 == 1
 }
 
-// faultRand is a tiny deterministic PRNG (splitmix64) seeded per call
-// index.
+// faultRand is a tiny deterministic PRNG (splitmix64) seeded per
+// (stream, index) pair.
 type faultRand struct{ state uint64 }
 
 func newFaultRand(seed, idx uint64) *faultRand {
@@ -225,7 +277,11 @@ func newFaultRand(seed, idx uint64) *faultRand {
 
 func (r *faultRand) next() uint64 {
 	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+	return mix64(r.state)
+}
+
+// mix64 is the splitmix64 output finalizer.
+func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -279,7 +335,7 @@ func (b *Backend) Name() string { return b.inner.Name() }
 
 // RunShard implements dispatch.Backend.
 func (b *Backend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, error) {
-	idx, f := b.inj.call()
+	n, f := b.inj.call(shardKey(spec))
 	for i := range b.inj.sched.Poison {
 		if b.inj.sched.Poison[i].matches(spec) {
 			return sim.Shard{}, fmt.Errorf("chaos: poisoned shard {%s %s seed %d}",
@@ -288,18 +344,18 @@ func (b *Backend) RunShard(ctx context.Context, spec sim.ShardSpec) (sim.Shard, 
 	}
 	switch {
 	case f.down:
-		return sim.Shard{}, fmt.Errorf("chaos: backend down (flap window, call %d)", idx)
+		return sim.Shard{}, fmt.Errorf("chaos: backend down (flap window, shard call %d)", n)
 	case f.hang:
 		<-ctx.Done()
 		return sim.Shard{}, ctx.Err()
 	case f.drop:
-		return sim.Shard{}, fmt.Errorf("chaos: connection dropped (call %d)", idx)
+		return sim.Shard{}, fmt.Errorf("chaos: connection dropped (shard call %d)", n)
 	case f.fivexx:
-		return sim.Shard{}, fmt.Errorf("chaos: injected status 503 (call %d)", idx)
+		return sim.Shard{}, fmt.Errorf("chaos: injected status 503 (shard call %d)", n)
 	case f.corrupt:
-		return sim.Shard{}, fmt.Errorf("chaos: corrupted response payload (call %d)", idx)
+		return sim.Shard{}, fmt.Errorf("chaos: corrupted response payload (shard call %d)", n)
 	case f.truncate:
-		return sim.Shard{}, fmt.Errorf("chaos: truncated response payload (call %d)", idx)
+		return sim.Shard{}, fmt.Errorf("chaos: truncated response payload (shard call %d)", n)
 	}
 	if f.latency > 0 {
 		if err := sleepCtx(ctx, f.latency); err != nil {
@@ -317,7 +373,7 @@ type probingBackend struct {
 
 // Probe implements dispatch.Prober. It deliberately consumes no call
 // index: probes fire at scheduler-dependent times, and letting them
-// advance the counter would make the shard fault plan depend on probe
+// advance the counter would make the flap windows depend on probe
 // timing.
 func (b *probingBackend) Probe(ctx context.Context) error {
 	if b.inj.flappedDown() {
@@ -350,7 +406,7 @@ func WrapTransport(rt http.RoundTripper, inj *Injector) *Transport {
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	idx, f := t.inj.call()
+	n, f := t.inj.call(requestKey(req))
 	ctx := req.Context()
 	fail := func(err error) (*http.Response, error) {
 		if req.Body != nil {
@@ -360,12 +416,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 	switch {
 	case f.down:
-		return fail(fmt.Errorf("chaos: dial %s: backend down (flap window, call %d)", req.URL.Host, idx))
+		return fail(fmt.Errorf("chaos: dial %s: backend down (flap window, shard call %d)", req.URL.Host, n))
 	case f.hang:
 		<-ctx.Done()
 		return fail(ctx.Err())
 	case f.drop:
-		return fail(fmt.Errorf("chaos: connection dropped (call %d)", idx))
+		return fail(fmt.Errorf("chaos: connection dropped (shard call %d)", n))
 	}
 	if f.latency > 0 {
 		if err := sleepCtx(ctx, f.latency); err != nil {
@@ -376,7 +432,7 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if req.Body != nil {
 			req.Body.Close()
 		}
-		body := fmt.Sprintf(`{"error":"chaos: injected unavailability (call %d)"}`, idx)
+		body := fmt.Sprintf(`{"error":"chaos: injected unavailability (shard call %d)"}`, n)
 		return &http.Response{
 			Status:        "503 Service Unavailable",
 			StatusCode:    http.StatusServiceUnavailable,

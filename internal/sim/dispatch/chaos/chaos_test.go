@@ -114,6 +114,41 @@ func TestFaultPlanDeterministic(t *testing.T) {
 	}
 }
 
+// TestFaultPlanPerShard: a shard's faults depend on its own call count,
+// not on how many calls other shards made in between — the property that
+// keeps a soak's fault plan independent of goroutine interleaving.
+func TestFaultPlanPerShard(t *testing.T) {
+	sched := chaos.Schedule{Seed: 7, PDrop: 0.3, P5xx: 0.2}
+	mine := sim.ShardSpec{Workload: "w", Seed: 1, Insts: 1, Observer: sim.ObserverSpec{Kind: "bbl"}}
+	other := sim.ShardSpec{Workload: "w", Seed: 2, Insts: 1, Observer: sim.ObserverSpec{Kind: "bbl"}}
+	run := func(interleave int) []string {
+		inj, err := chaos.New(sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := chaos.Wrap(&okBackend{name: "x"}, inj)
+		var outs []string
+		for i := 0; i < 100; i++ {
+			for j := 0; j < interleave*(i%3); j++ {
+				_, _ = b.RunShard(context.Background(), other) // only shifts the global count
+			}
+			_, err := b.RunShard(context.Background(), mine)
+			if err == nil {
+				outs = append(outs, "ok")
+			} else {
+				outs = append(outs, err.Error())
+			}
+		}
+		return outs
+	}
+	alone, crowded := run(0), run(2)
+	for i := range alone {
+		if alone[i] != crowded[i] {
+			t.Fatalf("call %d of the shard changed with other shards' traffic: %q vs %q", i, alone[i], crowded[i])
+		}
+	}
+}
+
 func TestPoisonMatching(t *testing.T) {
 	inj, err := chaos.New(chaos.Schedule{Poison: []chaos.PoisonKey{
 		{Workload: "a", Seed: 1},

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -233,6 +234,13 @@ func goldenShards(t *testing.T) (order []sim.FailedShard, byID map[sim.FailedSha
 	return order, byID
 }
 
+// poisonSoakSchedule is backend i's fault plan in TestSoakPoisonAllowPartial:
+// transient drops everywhere, and the {comd-lite, seed 1} cells poisoned.
+func poisonSoakSchedule(i int) chaos.Schedule {
+	return chaos.Schedule{Seed: uint64(200 + i), PDrop: 0.1,
+		Poison: []chaos.PoisonKey{{Workload: "comd-lite", Seed: 1}}}
+}
+
 // TestSoakPoisonAllowPartial is the permanent-fault soak: every backend
 // poisons the {comd-lite, seed 1} grid cells, so those shards fail on
 // every attempt everywhere. With AllowPartial the run must return exactly
@@ -241,12 +249,11 @@ func goldenShards(t *testing.T) (order []sim.FailedShard, byID map[sim.FailedSha
 // the full attempt budget spent on each. Run twice, the degraded report
 // must be deterministic.
 func TestSoakPoisonAllowPartial(t *testing.T) {
-	poison := []chaos.PoisonKey{{Workload: "comd-lite", Seed: 1}}
 	build := func() *dispatch.Dispatcher {
 		var backends []dispatch.Backend
 		for i := 0; i < 3; i++ {
 			w := newWorker(t)
-			inj, err := chaos.New(chaos.Schedule{Seed: uint64(200 + i), PDrop: 0.1, Poison: poison})
+			inj, err := chaos.New(poisonSoakSchedule(i))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -437,5 +444,77 @@ func TestSoakHedgedStragglers(t *testing.T) {
 	}
 	if healthy := d.Healthy(); len(healthy) != 2 {
 		t.Errorf("healthy = %v; losing hedge races must not be blamed on the straggler", healthy)
+	}
+}
+
+// shardRecorder is a ShardRunner that records the grid it is handed and
+// fails the run: the way to see the exact specs a Session dispatches.
+type shardRecorder struct{ specs []sim.ShardSpec }
+
+func (r *shardRecorder) RunShards(_ context.Context, specs []sim.ShardSpec) ([]sim.Shard, error) {
+	r.specs = append([]sim.ShardSpec(nil), specs...)
+	return nil, errors.New("recorded")
+}
+
+// TestPoisonSoakSurvivorsOutliveEveryRouting pins TestSoakPoisonAllowPartial
+// to the fault plan rather than to goroutine timing. Drops are drawn per
+// (schedule seed, shard, that shard's call count on the injector), so a
+// surviving cell's fate depends only on which backend each of its 4
+// attempts lands on. The test enumerates all 3^4 routings of every
+// unpoisoned cell over the soak's three injectors and requires that none
+// drops all 4 attempts.
+func TestPoisonSoakSurvivorsOutliveEveryRouting(t *testing.T) {
+	spec, err := sim.DecodeSpec([]byte(goldenSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := &shardRecorder{}
+	sess := sim.NewSession(1)
+	sess.SetRunner(rec)
+	if _, err := sess.Run(context.Background(), spec); err == nil {
+		t.Fatal("recording runner did not fail the run")
+	}
+	if len(rec.specs) != 32 {
+		t.Fatalf("recorded %d shard specs, want 32", len(rec.specs))
+	}
+	const backends, attempts = 3, 4
+	routings := 1
+	for range attempts {
+		routings *= backends
+	}
+	survivors := 0
+	for _, sp := range rec.specs {
+		if sp.Workload == "comd-lite" && sp.Seed == 1 {
+			continue // poisoned: fails everywhere by design
+		}
+		survivors++
+		for r := range routings {
+			var wrapped []dispatch.Backend
+			for i := range backends {
+				inj, err := chaos.New(poisonSoakSchedule(i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				wrapped = append(wrapped, chaos.Wrap(&okBackend{name: "ok"}, inj))
+			}
+			drops, route := 0, r
+			for range attempts {
+				_, err := wrapped[route%backends].RunShard(context.Background(), sp)
+				route /= backends
+				if err == nil {
+					break
+				}
+				if !strings.Contains(err.Error(), "connection dropped") {
+					t.Fatalf("{%s %s seed %d}: unexpected fault %v", sp.Workload, sp.Observer.Kind, sp.Seed, err)
+				}
+				drops++
+			}
+			if drops == attempts {
+				t.Errorf("{%s %s seed %d} drops all %d attempts under routing %d", sp.Workload, sp.Observer.Kind, sp.Seed, attempts, r)
+			}
+		}
+	}
+	if survivors != 24 {
+		t.Fatalf("enumerated %d surviving cells, want 24", survivors)
 	}
 }

@@ -437,10 +437,12 @@ type attemptResult struct {
 // first success wins and cancels the other call; the loser settles its
 // backend's health on its own goroutine (a hedge cancellation is never
 // blamed) and its result is discarded, so hedges never double-count blame
-// or cache writes. Each call holds its own dispatcher-wide slot, acquired
-// blocking for the primary and non-blocking for the hedge: a saturated
-// pool skips the hedge rather than adding load. Returns the backend whose
-// outcome was used (nil when none was eligible).
+// or cache writes. Each call holds its own dispatcher-wide slot. A
+// straggler whose hedge timer fires while every slot is taken stays
+// eligible: the hedge waits for the next free slot in the same select as
+// the primary's result, so it launches only if the primary is still
+// running when a slot frees. Returns the backend whose outcome was used
+// (nil when none was eligible).
 func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid *backendState) (sim.Shard, *backendState, error) {
 	// Take a dispatcher-wide slot for the primary, so concurrent RunShards
 	// calls cannot multiply the in-flight bound.
@@ -458,10 +460,13 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 	defer cancel()
 
 	resc := make(chan attemptResult, 2) // buffered: a loser never blocks
+	// Every call posts its result before it releases its slot, so a hedge
+	// waiting on the slot its own primary just freed finds the result
+	// already in resc.
 	go func() {
 		sh, err := d.callOn(actx, primary, spec)
-		<-d.sem
 		resc <- attemptResult{sh: sh, bs: primary, err: err}
+		<-d.sem
 	}()
 
 	var hedgec <-chan time.Time
@@ -470,46 +475,57 @@ func (d *Dispatcher) raceAttempt(ctx context.Context, spec sim.ShardSpec, avoid 
 		defer timer.Stop()
 		hedgec = timer.C
 	}
+	// slotc is armed (d.sem) once the hedge timer has fired and the hedge
+	// is waiting for a slot; nil otherwise, which disables its case.
+	var slotc chan struct{}
 
 	launched := 1
 	for {
+		var res attemptResult
 		select {
-		case res := <-resc:
-			launched--
-			if res.err == nil {
-				cancel() // the loser, if any, aborts promptly
-				if res.hedge {
-					d.hedgeWins.Add(1)
-				}
-				return res.sh, res.bs, nil
-			}
-			if launched > 0 {
-				continue // the other call is still racing; wait for it
-			}
-			return sim.Shard{}, res.bs, res.err
+		case res = <-resc:
 		case <-hedgec:
 			hedgec = nil // at most one hedge per attempt
-			// A hedge needs a free slot right now and a *different* live
-			// backend — a saturated pool or a lone healthy worker means a
-			// duplicate would add load without cutting tail latency.
+			slotc = d.sem
+			continue
+		case slotc <- struct{}{}:
+			slotc = nil
 			select {
-			case d.sem <- struct{}{}:
+			case res = <-resc:
+				// The primary finished and freed exactly this slot; its
+				// result is already posted and wins over a hedge.
+				<-d.sem
 			default:
+				// A hedge needs a *different* live backend — a lone
+				// healthy worker means a duplicate would add load without
+				// cutting tail latency.
+				hb := d.pickLive(primary)
+				if hb == nil {
+					<-d.sem
+					continue
+				}
+				d.hedges.Add(1)
+				launched++
+				go func() {
+					sh, err := d.callOn(actx, hb, spec)
+					resc <- attemptResult{sh: sh, bs: hb, err: err, hedge: true}
+					<-d.sem
+				}()
 				continue
 			}
-			hb := d.pickLive(primary)
-			if hb == nil {
-				<-d.sem
-				continue
-			}
-			d.hedges.Add(1)
-			launched++
-			go func() {
-				sh, err := d.callOn(actx, hb, spec)
-				<-d.sem
-				resc <- attemptResult{sh: sh, bs: hb, err: err, hedge: true}
-			}()
 		}
+		launched--
+		if res.err == nil {
+			cancel() // the loser, if any, aborts promptly
+			if res.hedge {
+				d.hedgeWins.Add(1)
+			}
+			return res.sh, res.bs, nil
+		}
+		if launched > 0 {
+			continue // the other call is still racing; wait for it
+		}
+		return sim.Shard{}, res.bs, res.err
 	}
 }
 

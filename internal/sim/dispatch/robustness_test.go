@@ -223,9 +223,11 @@ func TestHedgeNeedsASecondBackend(t *testing.T) {
 	}
 }
 
-// TestHedgeSkippedWhenPoolSaturated: hedges take normal in-flight slots
-// and must not queue for one — a saturated dispatcher skips the hedge
-// rather than amplifying load.
+// TestHedgeSkippedWhenPoolSaturated: hedges take normal in-flight slots.
+// A hedge whose timer fires while the pool is full waits for a slot, and
+// the slot that frees here is the primary's own, released only after its
+// result is posted — so the finished primary wins and no hedge launches
+// into the slot it vacated.
 func TestHedgeSkippedWhenPoolSaturated(t *testing.T) {
 	slow := &slowBackend{name: "slow", delay: 60 * time.Millisecond}
 	fast := &fakeBackend{name: "fast"}

@@ -3,53 +3,45 @@ package sim
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 
-	"rebalance/internal/sim/shardcache"
+	"rebalance/internal/trace"
 	"rebalance/internal/trace/replay"
-	"rebalance/internal/workload/synth"
 )
 
-func newReplaySession(t *testing.T, workers int, opts replay.Options) *Session {
-	t.Helper()
-	store, err := replay.New(opts)
+// recordTrace runs one generation pass for the coordinate on the spec's
+// engine with a replay.Recorder attached and returns the captured stream.
+func recordTrace(ctx context.Context, c *trace.Compiled, seed uint64, norm *Spec) (*replay.Trace, error) {
+	rec := replay.NewRecorder()
+	rec.Reserve(int(norm.Insts))
+	var e *trace.Executor
+	if norm.Engine == EngineReference {
+		e = trace.NewExecutor(c.Program(), seed)
+	} else {
+		e = trace.NewCompiledExecutor(c, seed)
+	}
+	e.SetContext(ctx)
+	e.Attach(rec)
+	var err error
+	if norm.Engine == EngineReference {
+		err = e.RunReference(norm.Insts)
+	} else {
+		err = e.Run(norm.Insts)
+	}
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
-	sess := NewSession(workers)
-	sess.SetTraceStore(store)
-	return sess
-}
-
-// replayPropertySpecs covers every registered observer kind, plus the
-// grouped and parallel bpred shapes, with small configurations. The test
-// below fails if a future kind registers without being added here.
-func replayPropertySpecs() []ObserverSpec {
-	return []ObserverSpec{
-		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tage-small"]}`)},
-		{Kind: "bpred", Options: json.RawMessage(`{"configs":["gshare-small","tournament-small"],"grouped":true}`)},
-		{Kind: "bpred", Options: json.RawMessage(`{"configs":["tage-small","tournament-small"],"parallel":true}`)},
-		{Kind: "btb", Options: json.RawMessage(`{"geometries":[{"entries":512,"ways":4}]}`)},
-		{Kind: "icache", Options: json.RawMessage(`{"geometries":[{"size_kb":16,"line_bytes":64,"ways":4}]}`)},
-		{Kind: "branch-mix"},
-		{Kind: "bias"},
-		{Kind: "footprint"},
-		{Kind: "bbl"},
-	}
+	return rec.Trace(), nil
 }
 
 // TestReplayedResultsBitIdenticalAcrossRegistry is the registry-driven
-// property test behind the trace store's correctness claim: for every
+// property test behind the replay package's correctness claim: for every
 // registered observer kind — including grouped and parallel bpred — a
-// result computed by replaying the materialized stream is byte-identical
-// to one computed on the live generation path, across replay batch sizes
+// result computed by replaying a materialized stream is byte-identical to
+// one computed on the live generation path, across replay batch sizes
 // 1/7/4096 and traces recorded under both engines.
 func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
-	specs := replayPropertySpecs()
+	specs := fusedPropertySpecs()
 	covered := map[string]bool{}
 	for _, sp := range specs {
 		covered[sp.Kind] = true
@@ -72,9 +64,8 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 	ctx := context.Background()
 	const seed, insts = 3, 20_000
 
-	// Both engines emit one stream per coordinate; the recorded traces
-	// must be byte-identical, which is what lets the trace key omit the
-	// engine.
+	// Both engines emit one stream per coordinate, so the recorded traces
+	// must be byte-identical.
 	traces := map[string]*replay.Trace{}
 	for _, engine := range []string{EngineCompiled, EngineReference} {
 		tr, err := recordTrace(ctx, c, seed, &Spec{Insts: insts, Engine: engine})
@@ -84,7 +75,7 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 		traces[engine] = tr
 	}
 	if !bytes.Equal(replay.Encode(traces[EngineCompiled]), replay.Encode(traces[EngineReference])) {
-		t.Fatal("recorded streams differ between engines; the engine-free trace key is unsound")
+		t.Fatal("recorded streams differ between engines")
 	}
 
 	for _, engine := range []string{EngineCompiled, EngineReference} {
@@ -124,260 +115,5 @@ func TestReplayedResultsBitIdenticalAcrossRegistry(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestReplayRunBitIdenticalToGolden runs the repository's golden grid
-// through a trace-store session: the report must match the committed
-// golden file byte-for-byte (up to the timing fields the golden already
-// excludes), and a second run — served from the warm store — must match
-// again while generating nothing new.
-func TestReplayRunBitIdenticalToGolden(t *testing.T) {
-	sess := newReplaySession(t, 2, replay.Options{})
-	cold, err := sess.Run(context.Background(), goldenRunSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	warm, err := sess.Run(context.Background(), goldenRunSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	coordinates := 2 * 2 // workloads x seeds in the golden grid
-	st := sess.TraceStore().Stats()
-	if int(st.Misses) != coordinates {
-		t.Errorf("trace store generated %d times, want once per coordinate (%d)", st.Misses, coordinates)
-	}
-	// Grouped delivery consults the store once per coordinate per run: the
-	// cold run's lookups all generate, the warm run's all hit.
-	if int(st.Hits) != coordinates {
-		t.Errorf("trace store hits = %d, want %d (one per coordinate on the warm run)", st.Hits, coordinates)
-	}
-
-	coldJSON, warmJSON := renderGolden(t, cold), renderGolden(t, warm)
-	if string(coldJSON) != string(warmJSON) {
-		t.Error("warm-store report differs from cold report")
-	}
-	want, err := os.ReadFile(filepath.Join("testdata", "report_v1.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(coldJSON) != string(want) {
-		t.Errorf("replayed report drifted from the golden file;\ngot:\n%s", coldJSON)
-	}
-}
-
-// TestReplaySecondObserverNeverRegenerates pins the stats contract the CI
-// smoke cross-checks: over a multi-observer grid, generation count equals
-// coordinate count exactly — the second observer of a coordinate always
-// rides the first's pass. Grouped delivery makes this structural within a
-// run (one store lookup feeds every observer of the coordinate), and a
-// second run hits the warm store once per coordinate.
-func TestReplaySecondObserverNeverRegenerates(t *testing.T) {
-	sess := newReplaySession(t, 4, replay.Options{})
-	spec := &Spec{
-		Workloads: []string{"comd-lite", "xalan-lite"},
-		Seeds:     []uint64{1, 2, 3},
-		Insts:     20_000,
-		Observers: fullObserverSpecs(),
-	}
-	rep, err := sess.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coordinates := 2 * 3
-	if perCoord := len(rep.Shards) / coordinates; perCoord < 2 {
-		t.Fatalf("grid has %d observers per coordinate, need at least 2 for the test to mean anything", perCoord)
-	}
-	st := sess.TraceStore().Stats()
-	if int(st.Misses) != coordinates {
-		t.Errorf("%d generations for %d coordinates; a coordinate's stream must be generated exactly once", st.Misses, coordinates)
-	}
-	if st.Hits != 0 {
-		t.Errorf("trace store hits = %d on the cold run, want 0 (each coordinate's observers share one lookup)", st.Hits)
-	}
-	if _, err := sess.Run(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	st = sess.TraceStore().Stats()
-	if int(st.Misses) != coordinates || int(st.Hits) != coordinates {
-		t.Errorf("after a warm run: misses = %d, hits = %d; want %d and %d (no regeneration, one hit per coordinate)",
-			st.Misses, st.Hits, coordinates, coordinates)
-	}
-}
-
-// TestReplayComposesWithResultCache layers both caches: the result cache
-// short-circuits whole shards, so a second run touches the trace store
-// not at all.
-func TestReplayComposesWithResultCache(t *testing.T) {
-	sess := newReplaySession(t, 2, replay.Options{})
-	cache, err := shardcache.New(shardcache.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess.SetCache(cache)
-
-	if _, err := sess.Run(context.Background(), goldenRunSpec()); err != nil {
-		t.Fatal(err)
-	}
-	before := sess.TraceStore().Stats()
-	warm, err := sess.Run(context.Background(), goldenRunSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range warm.Shards {
-		if !warm.Shards[i].Cached {
-			t.Errorf("shard %d not served from the result cache", i)
-		}
-	}
-	after := sess.TraceStore().Stats()
-	if after.Hits != before.Hits || after.Misses != before.Misses {
-		t.Errorf("result-cache-served run touched the trace store: before %+v, after %+v", before, after)
-	}
-}
-
-// TestReplayRunShardWorkerPath drives the worker-protocol entry point
-// through the trace store: the shard result must match a store-less
-// session's, and a second observer over the same coordinate must replay.
-func TestReplayRunShardWorkerPath(t *testing.T) {
-	spec := ShardSpec{
-		Workload: "comd-lite",
-		Seed:     5,
-		Insts:    15_000,
-		Observer: ObserverSpec{Kind: "bbl"},
-	}
-	plain, err := NewSession(1).RunShard(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess := newReplaySession(t, 1, replay.Options{})
-	replayed, err := sess.RunShard(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.ElapsedNS, replayed.ElapsedNS = 0, 0
-	pj, _ := EncodeShard(plain)
-	rj, _ := EncodeShard(replayed)
-	if !bytes.Equal(pj, rj) {
-		t.Errorf("replayed worker shard differs from generated:\nreplayed:  %s\ngenerated: %s", rj, pj)
-	}
-
-	spec.Observer = ObserverSpec{Kind: "branch-mix"}
-	if _, err := sess.RunShard(context.Background(), spec); err != nil {
-		t.Fatal(err)
-	}
-	st := sess.TraceStore().Stats()
-	if st.Misses != 1 || st.Hits != 1 {
-		t.Errorf("worker-path stats = %+v, want 1 generation and 1 replay for two observers of one coordinate", st)
-	}
-}
-
-// TestReplayDiskTierWarmRestart is the -trace-dir restart story at the
-// session level: a fresh session over the same directory serves every
-// coordinate from disk and generates nothing.
-func TestReplayDiskTierWarmRestart(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := newReplaySession(t, 2, replay.Options{Dir: dir}).Run(context.Background(), goldenRunSpec()); err != nil {
-		t.Fatal(err)
-	}
-	sess := newReplaySession(t, 2, replay.Options{Dir: dir})
-	rep, err := sess.Run(context.Background(), goldenRunSpec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := sess.TraceStore().Stats()
-	if st.Misses != 0 {
-		t.Errorf("restarted session regenerated %d coordinates; the disk tier must serve them all", st.Misses)
-	}
-	coordinates := 2 * 2
-	if int(st.DiskHits) != coordinates {
-		t.Errorf("disk hits = %d, want one promotion per coordinate (%d)", st.DiskHits, coordinates)
-	}
-	got := renderGolden(t, rep)
-	want, err := os.ReadFile(filepath.Join("testdata", "report_v1.golden.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Errorf("disk-replayed report drifted from the golden file;\ngot:\n%s", got)
-	}
-}
-
-func TestReplayCancellation(t *testing.T) {
-	sess := newReplaySession(t, 2, replay.Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := sess.Run(ctx, goldenRunSpec())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run under a cancelled context = %v, want context.Canceled", err)
-	}
-	// The session stays usable: a fresh context runs normally.
-	if _, err := sess.Run(context.Background(), goldenRunSpec()); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTraceKey(t *testing.T) {
-	base := ShardSpec{
-		Workload: "comd-lite",
-		Seed:     1,
-		Insts:    10_000,
-		Observer: ObserverSpec{Kind: "bbl"},
-	}
-	key := func(t *testing.T, sp ShardSpec) string {
-		t.Helper()
-		k, err := sp.TraceKey()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
-	baseKey := key(t, base)
-	if len(baseKey) != len(traceKeyVersion)+1+64 || baseKey[:4] != traceKeyVersion+"-" {
-		t.Fatalf("trace key %q is not a versioned sha256 digest", baseKey)
-	}
-
-	// The key ignores exactly the axes that do not change the stream.
-	engine := base
-	engine.Engine = EngineReference
-	if key(t, engine) != baseKey {
-		t.Error("engine changed the trace key; both engines emit the same stream")
-	}
-	observer := base
-	observer.Observer = ObserverSpec{Kind: "branch-mix"}
-	if key(t, observer) != baseKey {
-		t.Error("observer changed the trace key; the stream does not depend on who watches")
-	}
-
-	// And is sensitive to every axis that does change it.
-	for name, mut := range map[string]func(*ShardSpec){
-		"workload": func(sp *ShardSpec) { sp.Workload = "xalan-lite" },
-		"seed":     func(sp *ShardSpec) { sp.Seed = 2 },
-		"insts":    func(sp *ShardSpec) { sp.Insts = 20_000 },
-	} {
-		sp := base
-		mut(&sp)
-		if key(t, sp) == baseKey {
-			t.Errorf("%s change did not change the trace key", name)
-		}
-	}
-
-	// Synth coordinates key on canonical params, so spelling differences
-	// collapse and knob differences distinguish.
-	synthSpec := func(seed uint64) ShardSpec {
-		return ShardSpec{
-			Workload: "trace-key-synth",
-			Synth:    &synth.Params{Name: "trace-key-synth", Seed: 1},
-			Seed:     seed,
-			Insts:    10_000,
-			Observer: ObserverSpec{Kind: "bbl"},
-		}
-	}
-	if key(t, synthSpec(1)) == key(t, synthSpec(2)) {
-		t.Error("synth coordinates with different seeds share a trace key")
-	}
-
-	if _, err := (&ShardSpec{}).TraceKey(); !errors.Is(err, ErrInvalidSpec) {
-		t.Errorf("TraceKey on an invalid spec = %v, want ErrInvalidSpec", err)
 	}
 }

@@ -57,6 +57,13 @@ type FailedShard struct {
 // computed for this run; everything else about it — counters, result
 // encoding, identity — is bit-identical to a cold shard, so consumers may
 // treat the mark like a timing field.
+//
+// ElapsedNS is the shard's share of the generation pass that computed it:
+// the pass wall divided evenly over the shards the pass fed (all of it for
+// a lone shard), so the shards of one pass sum to its wall and Σ ElapsedNS
+// over a report never counts a shared pass twice. Like WallNS it is a
+// timing field, excluded from goldens; a cached shard reports its original
+// compute.
 type Shard struct {
 	Workload  string
 	Seed      uint64

@@ -5,14 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"sync"
 	"time"
 
 	"rebalance/internal/program"
 	"rebalance/internal/sim/shardcache"
 	"rebalance/internal/trace"
-	"rebalance/internal/trace/replay"
 	"rebalance/internal/workload"
 	"rebalance/internal/workload/synth"
 )
@@ -26,7 +24,6 @@ type Session struct {
 	maxShards int
 	runner    ShardRunner
 	cache     *shardcache.Cache
-	traces    *replay.Store
 
 	mu       sync.Mutex
 	compiled map[string]*compileEntry
@@ -140,10 +137,24 @@ type shardJob struct {
 	seed     uint64
 }
 
+// spec re-describes the job as the portable ShardSpec a cache key or a
+// dispatched runner takes.
+func (j *shardJob) spec(norm *Spec) ShardSpec {
+	return ShardSpec{
+		Workload: j.workload,
+		Synth:    j.synth,
+		Seed:     j.seed,
+		Insts:    norm.Insts,
+		Engine:   norm.Engine,
+		Observer: j.cfg.Spec(),
+	}
+}
+
 // Run validates and executes the spec, returning the sim/v1 report. Shard
 // order in the report is deterministic (workload-major, then observer
 // configuration, then seed) regardless of scheduling. The context is
-// checked between shards; an already-running shard completes.
+// polled between scheduling units and inside each generation pass, so a
+// cancelled run returns promptly with the context's error.
 func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 	norm, err := spec.normalized(s.maxShards)
 	if err != nil {
@@ -287,28 +298,27 @@ func (s *Session) Run(ctx context.Context, spec *Spec) (*Report, error) {
 }
 
 // runLocal executes the shard grid on the session's in-process worker
-// pool — the default runner. Results land index-aligned with jobs; the
-// context is polled both between shards and, at region granularity,
-// inside each executing shard, so cancellation returns promptly and the
-// session remains reusable afterwards. With AllowPartial, shard errors
-// other than cancellation degrade to ShardFailure entries instead of
-// failing the run — unless every shard failed, which stays an error.
+// pool — the default runner. The grid is scheduled as planUnits' units,
+// one generation pass each; results land index-aligned with jobs, so the
+// report does not depend on the grouping. The context is polled both
+// between units and, at region granularity, inside each pass, so
+// cancellation returns promptly and the session remains reusable
+// afterwards. With AllowPartial, shard errors other than cancellation
+// degrade to ShardFailure entries instead of failing the run — unless
+// every shard failed, which stays an error.
 func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, compiled map[string]*trace.Compiled) ([]Shard, []ShardFailure, error) {
 	shards := make([]Shard, len(jobs))
 	errs := make([]error, len(jobs))
+	units := planUnits(jobs, s.workers)
 	next := make(chan []int)
 	var wg sync.WaitGroup
-	workers := s.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for w := 0; w < workers; w++ {
+	for range min(s.workers, len(units)) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for group := range next {
-				s.runGroup(ctx, compiled, jobs, group, norm, shards, errs)
-				for _, i := range group {
+			for unit := range next {
+				s.runUnit(ctx, compiled[jobs[unit[0]].workload], jobs, unit, norm, shards, errs)
+				for _, i := range unit {
 					// Deliver each outcome to the context's progress hook (a
 					// no-op without one); ShardDone filters cancellations.
 					ShardDone(ctx, shards[i], errs[i])
@@ -316,46 +326,8 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, com
 			}
 		}()
 	}
-	// Scheduling granularity is a choice only — results stay index-aligned
-	// with jobs, so the report is order-independent. Without a trace store
-	// every shard is its own unit. With one, the grid is grouped by trace
-	// coordinate (workload, seed): all of a coordinate's shards become one
-	// unit that materializes the stream once and replays it through every
-	// observer in a single pass — the stream-once, observe-many schedule.
-	var feed [][]int
-	if s.traces == nil {
-		feed = make([][]int, len(jobs))
-		for i := range jobs {
-			feed[i] = []int{i}
-		}
-	} else {
-		order := make([]int, len(jobs))
-		for i := range order {
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool {
-			ja, jb := &jobs[order[a]], &jobs[order[b]]
-			if ja.workload != jb.workload {
-				return ja.workload < jb.workload
-			}
-			return ja.seed < jb.seed
-		})
-		for start := 0; start < len(order); {
-			lead := &jobs[order[start]]
-			end := start + 1
-			for end < len(order) {
-				j := &jobs[order[end]]
-				if j.workload != lead.workload || j.seed != lead.seed {
-					break
-				}
-				end++
-			}
-			feed = append(feed, order[start:end:end])
-			start = end
-		}
-	}
-	for _, group := range feed {
-		next <- group
+	for _, unit := range units {
+		next <- unit
 	}
 	close(next)
 	wg.Wait()
@@ -390,15 +362,8 @@ func (s *Session) runLocal(ctx context.Context, norm *Spec, jobs []shardJob, com
 // an ordinary run failure otherwise.
 func (s *Session) runDispatched(ctx context.Context, norm *Spec, jobs []shardJob) ([]Shard, []ShardFailure, error) {
 	specs := make([]ShardSpec, len(jobs))
-	for i, job := range jobs {
-		specs[i] = ShardSpec{
-			Workload: job.workload,
-			Synth:    job.synth,
-			Seed:     job.seed,
-			Insts:    norm.Insts,
-			Engine:   norm.Engine,
-			Observer: job.cfg.Spec(),
-		}
+	for i := range jobs {
+		specs[i] = jobs[i].spec(norm)
 	}
 	shards, err := s.runner.RunShards(ctx, specs)
 	var failures []ShardFailure
@@ -435,47 +400,4 @@ func (s *Session) runDispatched(ctx context.Context, norm *Spec, jobs []shardJob
 		}
 	}
 	return shards, failures, nil
-}
-
-// runShard drives one observer configuration over one seeded stream with a
-// fresh executor and a fresh power-on observer instance, so shards are
-// order-independent and the grid is deterministic up to timing fields.
-func runShard(ctx context.Context, c *trace.Compiled, job *shardJob, spec *Spec) (Shard, error) {
-	obs := job.cfg.NewObserver(c.Program())
-	if cl, ok := obs.(interface{ Close() }); ok {
-		// Release observer-owned goroutines even when the run errors
-		// mid-stream.
-		defer cl.Close()
-	}
-	var e *trace.Executor
-	start := time.Now() //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
-	var err error
-	if spec.Engine == EngineReference {
-		e = trace.NewExecutor(c.Program(), job.seed)
-	} else {
-		e = trace.NewCompiledExecutor(c, job.seed)
-	}
-	e.SetContext(ctx)
-	e.Attach(obs)
-	if spec.Engine == EngineReference {
-		err = e.RunReference(spec.Insts)
-	} else {
-		err = e.Run(spec.Insts)
-	}
-	if err != nil {
-		return Shard{}, err
-	}
-	elapsed := time.Since(start) //repolint:allow nodeterminism shard elapsed_ns timing field, excluded from goldens
-	res, err := obs.Finish()
-	if err != nil {
-		return Shard{}, err
-	}
-	return Shard{
-		Workload:  job.workload,
-		Seed:      job.seed,
-		Observer:  job.cfg.Key(),
-		Insts:     e.Emitted(),
-		ElapsedNS: elapsed.Nanoseconds(),
-		Result:    res,
-	}, nil
 }

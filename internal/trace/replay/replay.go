@@ -22,6 +22,13 @@
 // invariant to batch boundaries (the batch-size invariance tests pin
 // that), and Deliver cuts batches only inside a phase, so every invariant
 // an observer may rely on survives materialization.
+//
+// The sim session does not use this package: its local pool attaches
+// every observer of a coordinate to one executor pass instead (see
+// internal/sim/fused.go), which is as fast as warm replay with no store.
+// The package stays a standalone, tested library for consumers that must
+// observe one stream at different times, such as a worker serving one
+// coordinate's shards across separate requests.
 package replay
 
 import (

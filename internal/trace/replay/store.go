@@ -44,10 +44,10 @@ type Stats struct {
 }
 
 // Store is a bounded, two-tier, singleflight-deduplicating cache of
-// materialized traces, keyed by the canonical trace coordinate (see
-// sim.ShardSpec.TraceKey). It is the shardcache design with a decoded
-// value type: the memory tier holds ready-to-replay *Trace values, the
-// disk tier holds their checksummed trr1 encodings. Safe for concurrent
+// materialized traces, keyed by a caller-chosen canonical name for the
+// stream's coordinate. It is the shardcache design with a decoded value
+// type: the memory tier holds ready-to-replay *Trace values, the disk
+// tier holds their checksummed trr1 encodings. Safe for concurrent
 // use; a cached Trace is immutable and may be replayed by any number of
 // goroutines at once.
 type Store struct {
