@@ -8,7 +8,7 @@ GO ?= go
 STATICCHECK_VERSION ?= honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK_VERSION ?= golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build test race fuzz chaos vet fmt lint lint-repolint lint-extra ci bench bench-go bench-sweep
+.PHONY: all build test race fuzz chaos vet fmt lint lint-repolint lint-extra ci bench bench-go bench-sweep loc
 
 all: build
 
@@ -42,6 +42,11 @@ chaos:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the production Go line count (tests and testdata excluded),
+# the size figure ROADMAP.md tracks as a number that should go down.
+loc:
+	@find cmd internal -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' | xargs cat | wc -l
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi

@@ -8,6 +8,11 @@
 // Each analyzer is a trace.Observer, so any subset can share a single pass
 // over a workload's instruction stream. All analyzers separate serial from
 // parallel code sections, the paper's distinguishing methodological choice.
+//
+// Analyzers only count. Every figure statistic is a method on the
+// mergeable snapshot an analyzer's Result returns (MixResult, BiasResult,
+// FootprintResult, BBLResult), and each snapshot's EncodeJSON renders the
+// artifact from those methods, so each metric has exactly one formula.
 package analysis
 
 // Phase selects which code sections a metric aggregates over.
@@ -43,19 +48,23 @@ func (p Phase) String() string {
 // Phases lists the aggregation phases in figure order.
 var Phases = [NumPhases]Phase{Total, Serial, Parallel}
 
-// PhaseVals holds one metric's value for each aggregation phase.
-type PhaseVals struct {
-	Total, Serial, Parallel float64
-}
-
-// Get returns the value for the given phase.
-func (v PhaseVals) Get(p Phase) float64 {
+// phaseRange maps a Phase to the internal per-phase indices it spans
+// (0 serial, 1 parallel).
+func phaseRange(p Phase) []int {
 	switch p {
 	case Serial:
-		return v.Serial
+		return []int{0}
 	case Parallel:
-		return v.Parallel
+		return []int{1}
 	default:
-		return v.Total
+		return []int{0, 1}
 	}
+}
+
+// pct returns num as a percentage of den, or 0 when den is 0.
+func pct(num, den int64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return 100 * float64(num) / float64(den)
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -15,6 +16,18 @@ func inst(pc isa.Addr, size uint8, kind isa.Kind, taken bool, target isa.Addr, s
 
 func close2(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+// decodeArtifact renders r's EncodeJSON artifact into the wire shape out.
+func decodeArtifact(t *testing.T, r interface{ EncodeJSON() ([]byte, error) }, out any) {
+	t.Helper()
+	data, err := r.EncodeJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestPhaseHelpers(t *testing.T) {
 	for p, name := range map[Phase]string{Total: "total", Serial: "serial", Parallel: "parallel"} {
 		if p.String() != name {
@@ -23,10 +36,6 @@ func TestPhaseHelpers(t *testing.T) {
 	}
 	if got := Phase(9).String(); got != "phase?" {
 		t.Errorf("out-of-range phase String() = %q", got)
-	}
-	v := PhaseVals{Total: 1, Serial: 2, Parallel: 3}
-	if v.Get(Total) != 1 || v.Get(Serial) != 2 || v.Get(Parallel) != 3 {
-		t.Errorf("PhaseVals.Get mismatch: %+v", v)
 	}
 }
 
@@ -50,26 +59,28 @@ func TestBranchMixCounts(t *testing.T) {
 	batched.ObserveBatch(stream)
 
 	for _, a := range []*BranchMix{single, batched} {
-		if a.Insts(Total) != 7 || a.Insts(Serial) != 3 || a.Insts(Parallel) != 4 {
-			t.Fatalf("insts = %d/%d/%d", a.Insts(Total), a.Insts(Serial), a.Insts(Parallel))
+		r := a.Result()
+		if r.PhaseInsts(Total) != 7 || r.PhaseInsts(Serial) != 3 || r.PhaseInsts(Parallel) != 4 {
+			t.Fatalf("insts = %d/%d/%d", r.PhaseInsts(Total), r.PhaseInsts(Serial), r.PhaseInsts(Parallel))
 		}
-		if a.Count(Serial, isa.KindCondDirect) != 1 || a.Count(Parallel, isa.KindCondDirect) != 0 {
+		if r.Count(Serial, isa.KindCondDirect) != 1 || r.Count(Parallel, isa.KindCondDirect) != 0 {
 			t.Error("cond-direct miscounted")
 		}
-		if !close2(a.Fraction(Total, isa.KindOther), 3.0/7) {
-			t.Errorf("other fraction = %v", a.Fraction(Total, isa.KindOther))
+		if !close2(r.KindPct(Total, isa.KindOther), 100*3.0/7) {
+			t.Errorf("other pct = %v", r.KindPct(Total, isa.KindOther))
 		}
 		// Branches: cond + indirect call + return + syscall = 4 of 7.
-		if !close2(a.BranchFraction(Total), 4.0/7) {
-			t.Errorf("branch fraction = %v", a.BranchFraction(Total))
+		if !close2(r.BranchPct(Total), 100*4.0/7) {
+			t.Errorf("branch pct = %v", r.BranchPct(Total))
 		}
 		// Indirect share of branches: the indirect call, 1 of 4
 		// (returns are indirect control flow but not in the paper's
 		// indirect-jump/call population).
-		if !close2(a.IndirectFractionOfBranches(Total), 1.0/4) {
-			t.Errorf("indirect fraction = %v", a.IndirectFractionOfBranches(Total))
+		if !close2(r.IndirectPct(Total), 100*1.0/4) {
+			t.Errorf("indirect pct = %v", r.IndirectPct(Total))
 		}
-		rep := a.Report()
+		var rep mixWire
+		decodeArtifact(t, r, &rep)
 		if rep.Insts != [NumPhases]int64{7, 3, 4} {
 			t.Errorf("report insts = %v", rep.Insts)
 		}
@@ -89,7 +100,7 @@ func TestBranchMixCounts(t *testing.T) {
 	if err := r.Merge(&BiasResult{}); err == nil || !strings.Contains(err.Error(), "cannot merge") {
 		t.Errorf("cross-type merge err = %v", err)
 	}
-	if a := NewBranchMix(); a.Fraction(Total, isa.KindOther) != 0 || a.BranchFraction(Total) != 0 || a.IndirectFractionOfBranches(Total) != 0 {
+	if e := NewBranchMix().Result(); e.KindPct(Total, isa.KindOther) != 0 || e.BranchPct(Total) != 0 || e.IndirectPct(Total) != 0 {
 		t.Error("empty analyzer fractions not zero")
 	}
 }
@@ -110,36 +121,37 @@ func TestBiasSites(t *testing.T) {
 	a.Observe(inst(0x300, 3, isa.KindIndirectBranch, true, 0x100, false))
 	a.Observe(inst(0x304, 4, isa.KindOther, false, 0, false))
 
-	if a.Sites() != 2 {
-		t.Fatalf("sites = %d, want 2", a.Sites())
+	r := a.Result()
+	if len(r.Sites) != 2 {
+		t.Fatalf("sites = %d, want 2", len(r.Sites))
 	}
-	h := a.Histogram(Total)
-	if !close2(h.Fraction(9), 10.0/14) || !close2(h.Fraction(2), 4.0/14) {
+	h := r.BucketsPct(Total)
+	if !close2(h[9], 100*10.0/14) || !close2(h[2], 100*4.0/14) {
 		t.Errorf("histogram buckets: top %v (want %v), 20-30%% %v (want %v)",
-			h.Fraction(9), 10.0/14, h.Fraction(2), 4.0/14)
+			h[9], 100*10.0/14, h[2], 100*4.0/14)
 	}
-	if !close2(a.BiasedFraction(Total), 10.0/14) {
-		t.Errorf("biased fraction = %v", a.BiasedFraction(Total))
+	if !close2(r.BiasedPct(Total), 100*10.0/14) {
+		t.Errorf("biased pct = %v", r.BiasedPct(Total))
 	}
-	if !close2(a.BiasedFraction(Parallel), 0) {
-		t.Errorf("parallel biased fraction = %v", a.BiasedFraction(Parallel))
+	if !close2(r.BiasedPct(Parallel), 0) {
+		t.Errorf("parallel biased pct = %v", r.BiasedPct(Parallel))
 	}
-	back, fwd := a.TakenDirection(Total)
+	back, fwd, _ := r.takenCounts(Total)
 	if back != 9 || fwd != 1 {
 		t.Errorf("taken direction = %d/%d, want 9 backward 1 forward", back, fwd)
 	}
-	if !close2(a.BackwardFraction(Total), 0.9) {
-		t.Errorf("backward fraction = %v", a.BackwardFraction(Total))
+	if !close2(r.BackwardPct(Total), 100*0.9) {
+		t.Errorf("backward pct = %v", r.BackwardPct(Total))
 	}
-	if !close2(a.TakenFraction(Total), 10.0/14) {
-		t.Errorf("taken fraction = %v", a.TakenFraction(Total))
+	if !close2(r.TakenPct(Total), 100*10.0/14) {
+		t.Errorf("taken pct = %v", r.TakenPct(Total))
 	}
-	if NewBias().BackwardFraction(Total) != 0 || NewBias().TakenFraction(Total) != 0 {
+	if e := NewBias().Result(); e.BackwardPct(Total) != 0 || e.TakenPct(Total) != 0 {
 		t.Error("empty analyzer fractions not zero")
 	}
 
 	// Merging a result into a zero result reproduces the analyzer's own
-	// report numbers through the wire encoding.
+	// artifact through the wire encoding.
 	merged := &BiasResult{}
 	if err := merged.Merge(a.Result()); err != nil {
 		t.Fatal(err)
@@ -189,19 +201,21 @@ func TestBBLAccounting(t *testing.T) {
 	}
 	a.ObserveBatch(stream)
 
-	if got := a.Blocks(Total); got != 2 {
+	res := a.Result()
+	if got := res.Blocks(Total); got != 2 {
 		t.Fatalf("blocks = %d, want 2", got)
 	}
-	if got := a.AvgBlockBytes(Total); !close2(got, 9) {
+	if got := res.AvgBlockBytes(Total); !close2(got, 9) {
 		t.Errorf("avg block bytes = %v, want 9", got)
 	}
-	if got := a.AvgTakenDistance(Total); !close2(got, 18) {
+	if got := res.AvgTakenDistance(Total); !close2(got, 18) {
 		t.Errorf("avg taken distance = %v, want 18", got)
 	}
-	if got := a.AvgBlockBytes(Parallel); got != 0 {
+	if got := res.AvgBlockBytes(Parallel); got != 0 {
 		t.Errorf("parallel avg = %v, want 0 (no parallel blocks)", got)
 	}
-	rep := a.Report()
+	var rep bblWire
+	decodeArtifact(t, res, &rep)
 	if !close2(rep.AvgBlockB[0], 9) || !close2(rep.AvgTakenDistB[0], 18) {
 		t.Errorf("report = %+v", rep)
 	}
@@ -243,16 +257,17 @@ func TestFootprintAccounting(t *testing.T) {
 	}
 	batched.ObserveBatch(stream)
 	for _, a := range []*Footprint{single, batched} {
-		if got := a.TouchedBytes(Total); got != 96 {
+		r := a.Result(0)
+		if got := r.TouchedBytes(Total); got != 96 {
 			t.Errorf("touched = %d, want 96", got)
 		}
-		if got := a.DynamicBytes(Total, 0.90); got != 32 {
+		if got := r.DynamicBytes(Total, 0.90); got != 32 {
 			t.Errorf("dyn90 = %d, want the one hot chunk", got)
 		}
-		if got := a.DynamicBytes(Total, 0.99); got != 64 {
+		if got := r.DynamicBytes(Total, 0.99); got != 64 {
 			t.Errorf("dyn99 = %d, want hot+warm", got)
 		}
-		if got := a.TouchedBytes(Serial); got != 32 {
+		if got := r.TouchedBytes(Serial); got != 32 {
 			t.Errorf("serial touched = %d, want 32", got)
 		}
 	}
@@ -261,7 +276,7 @@ func TestFootprintAccounting(t *testing.T) {
 	// instruction at 0x103e counts once, in chunk 0x1020/32.
 	s := NewFootprint()
 	s.Observe(inst(0x103e, 4, isa.KindOther, false, 0, true))
-	if got := s.TouchedBytes(Total); got != 32 {
+	if got := s.Result(0).TouchedBytes(Total); got != 32 {
 		t.Errorf("straddling inst touched %d bytes of accounting, want 32", got)
 	}
 

@@ -53,57 +53,10 @@ func (a *BBL) observeOne(in *isa.Inst) {
 	}
 }
 
-func combine(ms *[2]stats.Mean, p Phase) float64 {
-	idx := phaseRange(p)
-	var sum float64
-	var n int64
-	for _, i := range idx {
-		sum += ms[i].Value() * float64(ms[i].N())
-		n += ms[i].N()
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// AvgBlockBytes returns the mean dynamic basic-block length in bytes.
-func (a *BBL) AvgBlockBytes(p Phase) float64 { return combine(&a.blockLen, p) }
-
-// AvgTakenDistance returns the mean distance in bytes between consecutive
-// taken branches.
-func (a *BBL) AvgTakenDistance(p Phase) float64 { return combine(&a.takenGap, p) }
-
-// Blocks returns the number of dynamic basic blocks observed in the phase.
-func (a *BBL) Blocks(p Phase) int64 {
-	var n int64
-	for _, i := range phaseRange(p) {
-		n += a.blockLen[i].N()
-	}
-	return n
-}
-
-// BBLReport is the Figure 4 artifact for one workload.
-type BBLReport struct {
-	// AvgBlockB[phase] is the mean basic-block length in bytes.
-	AvgBlockB [NumPhases]float64
-	// AvgTakenDistB[phase] is the mean distance between taken branches.
-	AvgTakenDistB [NumPhases]float64
-}
-
-// Report summarizes the analyzer into a BBLReport.
-func (a *BBL) Report() BBLReport {
-	var r BBLReport
-	for i, p := range Phases {
-		r.AvgBlockB[i] = a.AvgBlockBytes(p)
-		r.AvgTakenDistB[i] = a.AvgTakenDistance(p)
-	}
-	return r
-}
-
-// BBLResult is the mergeable snapshot behind a BBLReport: exact sums and
+// BBLResult is the mergeable snapshot of a BBL analyzer: exact sums and
 // counts of dynamic basic-block lengths and taken-branch gaps per phase
-// (0 serial, 1 parallel). It implements the sim result contract.
+// (0 serial, 1 parallel). Its methods derive the Figure 4 averages. It
+// implements the sim result contract.
 type BBLResult struct {
 	BlockSum [2]float64
 	BlockN   [2]int64
@@ -111,8 +64,8 @@ type BBLResult struct {
 	GapN     [2]int64
 }
 
-// Result snapshots the analyzer's accumulators. As in Report, a partial
-// block or run still open at the end of the stream is not counted.
+// Result snapshots the analyzer's accumulators. A partial block or run
+// still open at the end of the stream is not counted.
 func (a *BBL) Result() *BBLResult {
 	r := &BBLResult{}
 	for i := 0; i < 2; i++ {
@@ -137,10 +90,26 @@ func (r *BBLResult) Merge(other any) error {
 	return nil
 }
 
-func avgOver(sum [2]float64, n [2]int64, idx []int) float64 {
+// Blocks returns the number of dynamic basic blocks in the phase.
+func (r *BBLResult) Blocks(p Phase) int64 {
+	var n int64
+	for _, i := range phaseRange(p) {
+		n += r.BlockN[i]
+	}
+	return n
+}
+
+// AvgBlockBytes returns the mean dynamic basic-block length in bytes.
+func (r *BBLResult) AvgBlockBytes(p Phase) float64 { return avgOver(r.BlockSum, r.BlockN, p) }
+
+// AvgTakenDistance returns the mean distance in bytes between consecutive
+// taken branches.
+func (r *BBLResult) AvgTakenDistance(p Phase) float64 { return avgOver(r.GapSum, r.GapN, p) }
+
+func avgOver(sum [2]float64, n [2]int64, p Phase) float64 {
 	var s float64
 	var c int64
-	for _, i := range idx {
+	for _, i := range phaseRange(p) {
 		s += sum[i]
 		c += n[i]
 	}
@@ -176,12 +145,9 @@ func (r *BBLResult) EncodeJSON() ([]byte, error) {
 	var out bblWire
 	out.Counters = bblCounters{BlockSum: r.BlockSum, BlockN: r.BlockN, GapSum: r.GapSum, GapN: r.GapN}
 	for pi, p := range Phases {
-		idx := phaseRange(p)
-		for _, i := range idx {
-			out.Blocks[pi] += r.BlockN[i]
-		}
-		out.AvgBlockB[pi] = avgOver(r.BlockSum, r.BlockN, idx)
-		out.AvgTakenDistB[pi] = avgOver(r.GapSum, r.GapN, idx)
+		out.Blocks[pi] = r.Blocks(p)
+		out.AvgBlockB[pi] = r.AvgBlockBytes(p)
+		out.AvgTakenDistB[pi] = r.AvgTakenDistance(p)
 	}
 	return json.Marshal(&out)
 }

@@ -46,106 +46,10 @@ func (a *BranchMix) ObserveBatch(batch []isa.Inst) {
 	}
 }
 
-// Insts returns the dynamic instruction count for the phase.
-func (a *BranchMix) Insts(p Phase) int64 {
-	switch p {
-	case Serial:
-		return a.insts[0]
-	case Parallel:
-		return a.insts[1]
-	default:
-		return a.insts[0] + a.insts[1]
-	}
-}
-
-// Count returns the dynamic count of the kind in the phase.
-func (a *BranchMix) Count(p Phase, k isa.Kind) int64 {
-	switch p {
-	case Serial:
-		return a.kinds[0][k]
-	case Parallel:
-		return a.kinds[1][k]
-	default:
-		return a.kinds[0][k] + a.kinds[1][k]
-	}
-}
-
-// Fraction returns the kind's share of all dynamic instructions in the
-// phase, as the percentage axis of Figure 1 uses.
-func (a *BranchMix) Fraction(p Phase, k isa.Kind) float64 {
-	n := a.Insts(p)
-	if n == 0 {
-		return 0
-	}
-	return float64(a.Count(p, k)) / float64(n)
-}
-
-// BranchFraction returns the share of all dynamic instructions that are
-// control-flow instructions of any kind (the bar heights of Figure 1).
-func (a *BranchMix) BranchFraction(p Phase) float64 {
-	n := a.Insts(p)
-	if n == 0 {
-		return 0
-	}
-	var b int64
-	for k := 0; k < isa.NumKinds; k++ {
-		if isa.Kind(k).IsBranch() {
-			b += a.Count(p, isa.Kind(k))
-		}
-	}
-	return float64(b) / float64(n)
-}
-
-// IndirectFractionOfBranches returns indirect jumps and calls as a share of
-// all branch instructions (the paper reports <0.5% on average, up to 2.5%
-// for CoEVP).
-func (a *BranchMix) IndirectFractionOfBranches(p Phase) float64 {
-	var b, ind int64
-	for k := 0; k < isa.NumKinds; k++ {
-		kind := isa.Kind(k)
-		if !kind.IsBranch() {
-			continue
-		}
-		c := a.Count(p, kind)
-		b += c
-		if kind == isa.KindIndirectBranch || kind == isa.KindIndirectCall {
-			ind += c
-		}
-	}
-	if b == 0 {
-		return 0
-	}
-	return float64(ind) / float64(b)
-}
-
-// MixReport is the Figure 1 artifact for one workload: per phase, the share
-// of total instructions contributed by each branch kind.
-type MixReport struct {
-	// Insts is the dynamic instruction count per phase.
-	Insts [NumPhases]int64
-	// Share[phase][kind] is that kind's percentage of the phase's
-	// instructions (0..100).
-	Share [NumPhases][isa.NumKinds]float64
-	// BranchPct is the total branch percentage per phase.
-	BranchPct [NumPhases]float64
-}
-
-// Report summarizes the analyzer into a MixReport.
-func (a *BranchMix) Report() MixReport {
-	var r MixReport
-	for i, p := range Phases {
-		r.Insts[i] = a.Insts(p)
-		r.BranchPct[i] = 100 * a.BranchFraction(p)
-		for k := 0; k < isa.NumKinds; k++ {
-			r.Share[i][k] = 100 * a.Fraction(p, isa.Kind(k))
-		}
-	}
-	return r
-}
-
-// MixResult is the mergeable counter snapshot behind a MixReport: dynamic
-// instruction and per-kind counts per phase (0 serial, 1 parallel). It
-// implements the sim result contract (Merge, EncodeJSON).
+// MixResult is the mergeable counter snapshot of a BranchMix: dynamic
+// instruction and per-kind counts per phase (0 serial, 1 parallel). Its
+// methods derive the Figure 1 statistics. It implements the sim result
+// contract (Merge, EncodeJSON).
 type MixResult struct {
 	Insts [2]int64
 	Kinds [2][isa.NumKinds]int64
@@ -171,13 +75,59 @@ func (r *MixResult) Merge(other any) error {
 	return nil
 }
 
-// phaseInsts sums r.Insts over the phase's internal indices.
-func (r *MixResult) phaseInsts(idx []int) int64 {
+// PhaseInsts returns the dynamic instruction count for the phase.
+func (r *MixResult) PhaseInsts(p Phase) int64 {
 	var n int64
-	for _, i := range idx {
+	for _, i := range phaseRange(p) {
 		n += r.Insts[i]
 	}
 	return n
+}
+
+// Count returns the dynamic count of the kind in the phase.
+func (r *MixResult) Count(p Phase, k isa.Kind) int64 {
+	var n int64
+	for _, i := range phaseRange(p) {
+		n += r.Kinds[i][k]
+	}
+	return n
+}
+
+// KindPct returns the kind's percentage share of all dynamic instructions
+// in the phase, the axis of Figure 1.
+func (r *MixResult) KindPct(p Phase, k isa.Kind) float64 {
+	return pct(r.Count(p, k), r.PhaseInsts(p))
+}
+
+// BranchPct returns the percentage of all dynamic instructions that are
+// control-flow instructions of any kind (the bar heights of Figure 1).
+func (r *MixResult) BranchPct(p Phase) float64 {
+	var b int64
+	for k := 0; k < isa.NumKinds; k++ {
+		if isa.Kind(k).IsBranch() {
+			b += r.Count(p, isa.Kind(k))
+		}
+	}
+	return pct(b, r.PhaseInsts(p))
+}
+
+// IndirectPct returns indirect jumps and calls as a percentage of all
+// branch instructions (the paper reports <0.5% on average, up to 2.5% for
+// CoEVP).
+func (r *MixResult) IndirectPct(p Phase) float64 {
+	var b, ind int64
+	for k := 0; k < isa.NumKinds; k++ {
+		kind := isa.Kind(k)
+		if !kind.IsBranch() {
+			continue
+		}
+		c := r.Count(p, kind)
+		b += c
+		if kind == isa.KindIndirectBranch || kind == isa.KindIndirectCall {
+			ind += c
+		}
+	}
+	return pct(ind, b)
 }
 
 // mixWire is the canonical JSON shape of a MixResult: the Figure 1
@@ -206,26 +156,17 @@ func (r *MixResult) EncodeJSON() ([]byte, error) {
 	out.Counters = mixCounters{Insts: r.Insts, Kinds: r.Kinds}
 	out.KindPct = make(map[string][NumPhases]float64, isa.NumKinds)
 	for pi, p := range Phases {
-		idx := phaseRange(p)
-		n := r.phaseInsts(idx)
-		out.Insts[pi] = n
-		if n == 0 {
+		out.Insts[pi] = r.PhaseInsts(p)
+		if out.Insts[pi] == 0 {
 			continue
 		}
-		var branches int64
 		for k := 0; k < isa.NumKinds; k++ {
-			var c int64
-			for _, i := range idx {
-				c += r.Kinds[i][k]
-			}
-			if isa.Kind(k).IsBranch() {
-				branches += c
-			}
-			pcts := out.KindPct[isa.Kind(k).String()]
-			pcts[pi] = 100 * float64(c) / float64(n)
-			out.KindPct[isa.Kind(k).String()] = pcts
+			name := isa.Kind(k).String()
+			pcts := out.KindPct[name]
+			pcts[pi] = r.KindPct(p, isa.Kind(k))
+			out.KindPct[name] = pcts
 		}
-		out.BranchPct[pi] = 100 * float64(branches) / float64(n)
+		out.BranchPct[pi] = r.BranchPct(p)
 	}
 	return json.Marshal(&out)
 }

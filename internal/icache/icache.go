@@ -78,18 +78,6 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	return c
 }
 
-// Name describes the configuration as the figures' legends do.
-func (c *Cache) Name() string { return c.res.Name }
-
-// SizeBytes returns the cache capacity.
-func (c *Cache) SizeBytes() int { return c.res.SizeBytes }
-
-// LineBytes returns the line width.
-func (c *Cache) LineBytes() int { return c.res.LineBytes }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.res.Ways }
-
 // Observe implements trace.Observer.
 func (c *Cache) Observe(in isa.Inst) {
 	c.observeOne(&in)
@@ -213,50 +201,11 @@ func (c *Cache) Finish() {
 	}
 }
 
-// MPKI returns I-cache misses per kilo-instruction over the whole stream.
-func (c *Cache) MPKI() float64 { return c.res.MPKI() }
-
-// MPKISerial returns MPKI over serial sections.
-func (c *Cache) MPKISerial() float64 { return c.res.MPKISerial() }
-
-// MPKIParallel returns MPKI over parallel sections.
-func (c *Cache) MPKIParallel() float64 { return c.res.MPKIParallel() }
-
-// MissRate returns misses per cache access.
-func (c *Cache) MissRate() float64 { return c.res.MissRate() }
-
-// Accesses returns the number of cache probes (sequential extraction within
-// a line does not probe).
-func (c *Cache) Accesses() int64 { return c.res.Accesses[0] + c.res.Accesses[1] }
-
-// Misses returns the total misses.
-func (c *Cache) Misses() int64 { return c.res.Misses[0] + c.res.Misses[1] }
-
-// Usefulness returns the average fraction of distinct line bytes consumed
-// between fill and eviction, at 8-byte-sector granularity. Call Finish
-// first to include still-resident lines.
-func (c *Cache) Usefulness() float64 { return c.res.Usefulness() }
-
 // Result snapshots the run's counters as a mergeable, encodable record.
 // Call Finish first so the usefulness metric covers still-resident lines.
 func (c *Cache) Result() *Result {
 	r := c.res
 	return &r
-}
-
-// Reset clears contents and counters.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = line{}
-	}
-	c.clock = 0
-	c.lastLine = 0
-	c.lastPtr = nil
-	c.res.Insts = [2]int64{}
-	c.res.Accesses = [2]int64{}
-	c.res.Misses = [2]int64{}
-	c.res.UsedSectors = 0
-	c.res.TotalSectors = 0
 }
 
 // Result holds one cache configuration's counters over a stream. It merges
@@ -386,28 +335,4 @@ func DecodeResult(data []byte) (*Result, error) {
 		Insts: w.Insts, Accesses: w.Accesses, Misses: w.Misses,
 		UsedSectors: w.UsedSectors, TotalSectors: w.TotalSectors,
 	}, nil
-}
-
-// StandardSizeConfigs returns the nine Figure 8 configurations:
-// {8, 16, 32}KB x {2, 4, 8}-way with 64B lines.
-func StandardSizeConfigs() []*Cache {
-	var out []*Cache
-	for _, kb := range []int{8, 16, 32} {
-		for _, ways := range []int{2, 4, 8} {
-			out = append(out, New(kb*1024, 64, ways))
-		}
-	}
-	return out
-}
-
-// StandardLineConfigs returns the nine Figure 9 configurations:
-// 16KB with {32, 64, 128}B lines x {2, 4, 8}-way.
-func StandardLineConfigs() []*Cache {
-	var out []*Cache
-	for _, lb := range []int{32, 64, 128} {
-		for _, ways := range []int{2, 4, 8} {
-			out = append(out, New(16*1024, lb, ways))
-		}
-	}
-	return out
 }

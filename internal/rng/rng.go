@@ -13,8 +13,6 @@
 // meant to be.
 package rng
 
-import "math"
-
 // RNG is a deterministic xoshiro256** pseudo-random number generator.
 // The zero value is not valid; construct with New.
 type RNG struct {
@@ -129,22 +127,6 @@ func (r *RNG) Range(lo, hi int) int {
 	return lo + r.Intn(hi-lo+1)
 }
 
-// Geometric returns a sample from a geometric distribution with mean m
-// (number of trials until first success, >= 1). For m <= 1 it returns 1.
-func (r *RNG) Geometric(m float64) int {
-	if m <= 1 {
-		return 1
-	}
-	p := 1 / m
-	u := r.Float64()
-	// Inverse CDF of the geometric distribution on {1, 2, ...}.
-	n := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
 // Choice returns an index in [0, len(weights)) with probability proportional
 // to weights[i]. It panics if weights is empty or sums to <= 0.
 func (r *RNG) Choice(weights []float64) int {
@@ -168,13 +150,4 @@ func (r *RNG) Choice(weights []float64) int {
 		}
 	}
 	return len(weights) - 1
-}
-
-// Fork derives an independent generator whose stream is a pure function of
-// this generator's current state and the given label. Forking lets one
-// workload seed many independent sub-streams (one per branch site, say)
-// without the sub-streams aliasing each other.
-func (r *RNG) Fork(label uint64) *RNG {
-	base := r.Uint64() ^ rotl(label, 32) ^ 0x9e3779b97f4a7c15
-	return New(base)
 }

@@ -297,7 +297,7 @@ func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]si
 			Index:    i,
 			Attempts: attempts[i],
 			Err: fmt.Errorf("dispatch: shard {%s %s seed %d}: %w",
-				specs[i].Workload, specs[i].Observer.Kind, specs[i].Seed, err),
+				specs[i].Workload, observerKey(specs[i]), specs[i].Seed, err),
 		})
 	}
 	if !d.opts.AllowPartial {
@@ -319,6 +319,16 @@ func (d *Dispatcher) RunShards(ctx context.Context, specs []sim.ShardSpec) ([]si
 	}
 	sort.Slice(failures, func(a, b int) bool { return failures[a].Index < failures[b].Index })
 	return shards, &sim.PartialError{Failures: failures}
+}
+
+// observerKey names a shard's observer configuration the way the report's
+// shard entries do (e.g. "bpred/tage-small"), falling back to the bare
+// kind when the spec does not expand to one configuration.
+func observerKey(spec sim.ShardSpec) string {
+	if cfg, err := spec.Config(); err == nil {
+		return cfg.Key()
+	}
+	return spec.Observer.Kind
 }
 
 // attemptTimeout resolves the per-attempt deadline for a shard: the

@@ -6,6 +6,7 @@ package dispatch_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -105,6 +106,39 @@ func TestAllowPartialReturnsPartialError(t *testing.T) {
 		}
 		if sh.Seed != specs[i].Seed {
 			t.Errorf("shard %d has seed %d, want %d", i, sh.Seed, specs[i].Seed)
+		}
+	}
+}
+
+// TestShardFailureNamesConfigKey: two failed bpred shards of one
+// coordinate differ only in their predictor, so each failure must name
+// its observer configuration key (as the report's observer field does),
+// not just the observer kind.
+func TestShardFailureNamesConfigKey(t *testing.T) {
+	b := &fakeBackend{name: "a", permErr: errors.New("boom")}
+	opts := fastOpts()
+	opts.Attempts = 1
+	opts.AllowPartial = true
+	opts.FailThreshold = 100
+	d, err := dispatch.New([]dispatch.Backend{b}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"gshare-small", "tage-small"}
+	specs := make([]sim.ShardSpec, len(keys))
+	for i, k := range keys {
+		specs[i] = testSpec(1)
+		specs[i].Observer = sim.ObserverSpec{Kind: "bpred", Options: json.RawMessage(`{"configs":["` + k + `"]}`)}
+	}
+	_, err = d.RunShards(context.Background(), specs)
+	var pe *sim.PartialError
+	if !errors.As(err, &pe) || len(pe.Failures) != len(keys) {
+		t.Fatalf("err = %v, want a PartialError with %d failures", err, len(keys))
+	}
+	for i, f := range pe.Failures {
+		want := "{comd-lite bpred/" + keys[i] + " seed 1}"
+		if !strings.Contains(f.Err.Error(), want) {
+			t.Errorf("failure %d = %q, want it to name %s", i, f.Err, want)
 		}
 	}
 }

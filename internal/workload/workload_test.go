@@ -41,16 +41,17 @@ func TestStreamCoverage(t *testing.T) {
 		if err := trace.Run(workload.MustBuild(name), 1, 300_000, mix); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if mix.Insts(analysis.Serial) == 0 || mix.Insts(analysis.Parallel) == 0 {
+		r := mix.Result()
+		if r.PhaseInsts(analysis.Serial) == 0 || r.PhaseInsts(analysis.Parallel) == 0 {
 			t.Errorf("%s: missing a phase (serial=%d parallel=%d)",
-				name, mix.Insts(analysis.Serial), mix.Insts(analysis.Parallel))
+				name, r.PhaseInsts(analysis.Serial), r.PhaseInsts(analysis.Parallel))
 		}
-		bf := mix.BranchFraction(analysis.Total)
+		bf := r.BranchPct(analysis.Total) / 100
 		if bf < 0.02 || bf > 0.45 {
 			t.Errorf("%s: branch fraction %.3f outside plausible range", name, bf)
 		}
 		for k := 0; k < isa.NumKinds; k++ {
-			kinds[k] += mix.Count(analysis.Total, isa.Kind(k))
+			kinds[k] += r.Count(analysis.Total, isa.Kind(k))
 		}
 	}
 	for k := 0; k < isa.NumKinds; k++ {
