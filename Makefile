@@ -21,14 +21,16 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz runs the wire-surface fuzzers for a short budget (CI uses the same
-# targets); FUZZTIME=5m for a longer local session.
+# fuzz runs the wire-surface fuzzers and the I-cache kernel's differential
+# fuzzer for a short budget (CI uses the same targets); FUZZTIME=5m for a
+# longer local session.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeSpec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim -run '^$$' -fuzz '^FuzzDecodeShardResult$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/sim/shardcache -run '^$$' -fuzz '^FuzzDiskEntryCorruption$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/trace/replay -run '^$$' -fuzz '^FuzzTraceDiskCorruption$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/icache -run '^$$' -fuzz '^FuzzKernelMatchesReference$$' -fuzztime $(FUZZTIME)
 
 # chaos runs the seeded fault-injection soak suite race-instrumented: the
 # golden grid through a 3-backend dispatcher under transient faults must

@@ -344,6 +344,30 @@ func TestRunRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPowerOfTwoICache pins the I-cache geometry rule at the
+// front door: a line width or set count that is not a power of two is a
+// 400 with the JSON error envelope naming the rule, not a panic in a
+// worker.
+func TestRunRejectsNonPowerOfTwoICache(t *testing.T) {
+	srv := testServer(t)
+	for name, geom := range map[string]string{
+		"line width": `{"size_kb": 12, "line_bytes": 48, "ways": 4}`,
+		"set count":  `{"size_kb": 24, "line_bytes": 64, "ways": 4}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			body := `{"workloads": ["comd-lite"], "insts": 1000, "observers": [{"kind": "icache", "options": {"geometries": [` + geom + `]}}]}`
+			resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := decodeEnvelope(t, resp, http.StatusBadRequest)
+			if !strings.Contains(env.Error, "powers of two") {
+				t.Errorf("error %q does not name the power-of-two rule", env.Error)
+			}
+		})
+	}
+}
+
 // TestSynthEndpointAndRun covers the synthetic-workload surface: the
 // grammar endpoint serves the canonical defaults, the coordinator runs an
 // inline scenario, and the worker protocol executes a synth shard from

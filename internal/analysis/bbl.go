@@ -25,32 +25,34 @@ type BBL struct {
 // NewBBL returns a fresh basic-block analyzer.
 func NewBBL() *BBL { return &BBL{} }
 
-// Observe implements trace.Observer.
+// Observe implements trace.Observer through the batch path.
 func (a *BBL) Observe(in isa.Inst) {
-	a.observeOne(&in)
+	batch := [1]isa.Inst{in}
+	a.ObserveBatch(batch[:])
 }
 
-// ObserveBatch implements trace.BatchObserver.
+// ObserveBatch implements trace.BatchObserver. The open block and run
+// lengths live in batch-local state; the means are touched only at
+// branches.
 func (a *BBL) ObserveBatch(batch []isa.Inst) {
+	block, run := a.curBlock, a.curRun
 	for i := range batch {
-		a.observeOne(&batch[i])
+		in := &batch[i]
+		p := phaseIdx(in.Serial)
+		block[p] += int64(in.Size)
+		run[p] += int64(in.Size)
+		if !in.Kind.IsBranch() {
+			continue
+		}
+		// Any branch instruction terminates the basic block.
+		a.blockLen[p].Add(float64(block[p]))
+		block[p] = 0
+		if in.Taken {
+			a.takenGap[p].Add(float64(run[p]))
+			run[p] = 0
+		}
 	}
-}
-
-func (a *BBL) observeOne(in *isa.Inst) {
-	p := phaseIdx(in.Serial)
-	a.curBlock[p] += int64(in.Size)
-	a.curRun[p] += int64(in.Size)
-	if !in.Kind.IsBranch() {
-		return
-	}
-	// Any branch instruction terminates the basic block.
-	a.blockLen[p].Add(float64(a.curBlock[p]))
-	a.curBlock[p] = 0
-	if in.Taken {
-		a.takenGap[p].Add(float64(a.curRun[p]))
-		a.curRun[p] = 0
-	}
+	a.curBlock, a.curRun = block, run
 }
 
 // BBLResult is the mergeable snapshot of a BBL analyzer: exact sums and

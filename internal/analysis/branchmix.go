@@ -15,7 +15,8 @@ type BranchMix struct {
 	// insts[phase] is the dynamic instruction count per phase
 	// (phase index: 0 serial, 1 parallel).
 	insts [2]int64
-	// kinds[phase][kind] is the dynamic count of each instruction kind.
+	// kinds[phase][kind] is the dynamic count of each branch kind; the
+	// KindOther count is insts minus the branches, filled in by Result.
 	kinds [2][isa.NumKinds]int64
 }
 
@@ -29,21 +30,29 @@ func phaseIdx(serial bool) int {
 	return 1
 }
 
-// Observe implements trace.Observer.
+// Observe implements trace.Observer through the batch path.
 func (a *BranchMix) Observe(in isa.Inst) {
-	p := phaseIdx(in.Serial)
-	a.insts[p]++
-	a.kinds[p][in.Kind]++
+	batch := [1]isa.Inst{in}
+	a.ObserveBatch(batch[:])
 }
 
-// ObserveBatch implements trace.BatchObserver.
+// ObserveBatch implements trace.BatchObserver. Instructions are counted
+// in a batch-local counter; only branches touch the kind table.
 func (a *BranchMix) ObserveBatch(batch []isa.Inst) {
+	var serial int64
 	for i := range batch {
 		in := &batch[i]
-		p := phaseIdx(in.Serial)
-		a.insts[p]++
-		a.kinds[p][in.Kind]++
+		p := 1
+		if in.Serial {
+			p = 0
+			serial++
+		}
+		if in.Kind.IsBranch() {
+			a.kinds[p][in.Kind]++
+		}
 	}
+	a.insts[0] += serial
+	a.insts[1] += int64(len(batch)) - serial
 }
 
 // MixResult is the mergeable counter snapshot of a BranchMix: dynamic
@@ -57,7 +66,16 @@ type MixResult struct {
 
 // Result snapshots the analyzer's counters.
 func (a *BranchMix) Result() *MixResult {
-	return &MixResult{Insts: a.insts, Kinds: a.kinds}
+	r := &MixResult{Insts: a.insts, Kinds: a.kinds}
+	for p := range r.Kinds {
+		r.Kinds[p][isa.KindOther] = r.Insts[p]
+		for k, n := range r.Kinds[p] {
+			if isa.Kind(k).IsBranch() {
+				r.Kinds[p][isa.KindOther] -= n
+			}
+		}
+	}
+	return r
 }
 
 // Merge folds another *MixResult's counters into r.

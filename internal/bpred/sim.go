@@ -231,24 +231,28 @@ func (s *Sim) ObserveBatch(batch []isa.Inst) {
 }
 
 // compact extracts a batch's conditional branches into buf (reused across
-// batches), counting instructions and conditionals per phase. Both batch
-// paths share it, so serial and parallel modes cannot drift apart.
+// batches), counting instructions and conditionals per phase in
+// batch-local counters. Both batch paths share it, so serial and parallel
+// modes cannot drift apart.
 func (s *Sim) compact(batch []isa.Inst, buf []condRec) ([]condRec, [2]int64) {
 	recs := buf[:0]
 	var nCond [2]int64
+	var serial int64
 	for i := range batch {
 		in := &batch[i]
-		p := 0
-		if !in.Serial {
-			p = 1
+		p := 1
+		if in.Serial {
+			p = 0
+			serial++
 		}
-		s.insts[p]++
 		if !in.Kind.IsConditional() {
 			continue
 		}
 		nCond[p]++
 		recs = append(recs, condRec{pc: in.PC, taken: in.Taken, phase: uint8(p), dir: uint8(in.BranchDirection())})
 	}
+	s.insts[0] += serial
+	s.insts[1] += int64(len(batch)) - serial
 	return recs, nCond
 }
 

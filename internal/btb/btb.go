@@ -17,15 +17,13 @@ import (
 	"rebalance/internal/wire"
 )
 
-// tagShift drops the index bits when forming tags; a full tag is kept so
-// aliased hits cannot occur (as in a real BTB with complete tags).
+// entry is one BTB way. Hit or miss depends only on presence, so the
+// target itself is not stored; the full tag (the branch address) rules out
+// aliased hits, as in a real BTB with complete tags.
 type entry struct {
-	valid bool
 	tag   uint64
-	// target is stored for interface completeness; the simulator only
-	// needs presence to decide hit/miss.
-	target isa.Addr
-	lru    uint32
+	lru   uint32
+	valid bool
 }
 
 // BTB is a set-associative branch target buffer with true-LRU replacement.
@@ -69,42 +67,45 @@ func (b *BTB) index(pc isa.Addr) int {
 
 func (b *BTB) tag(pc isa.Addr) uint64 { return uint64(pc) >> 2 }
 
-// Observe implements trace.Observer: every instruction counts toward MPKI;
-// taken branches probe and allocate.
+// Observe implements trace.Observer through the batch path, so both
+// engines run one code path.
 func (b *BTB) Observe(in isa.Inst) {
-	b.observeOne(&in)
+	batch := [1]isa.Inst{in}
+	b.ObserveBatch(batch[:])
 }
 
-// ObserveBatch implements trace.BatchObserver; the loop body is shared with
-// the per-instruction path, but dispatch, the instruction copy, and the
-// phase decode happen once per batch element instead of once per virtual
-// call.
+// ObserveBatch implements trace.BatchObserver: every instruction counts
+// toward MPKI, in batch-local counters; only taken branches reach the
+// lookup.
 func (b *BTB) ObserveBatch(batch []isa.Inst) {
+	var serial int64
 	for i := range batch {
-		b.observeOne(&batch[i])
+		in := &batch[i]
+		p := 1
+		if in.Serial {
+			p = 0
+			serial++
+		}
+		if in.Taken && in.Kind.IsBranch() {
+			b.lookup(in.PC, p)
+		}
 	}
+	b.res.Insts[0] += serial
+	b.res.Insts[1] += int64(len(batch)) - serial
 }
 
-func (b *BTB) observeOne(in *isa.Inst) {
-	p := 0
-	if !in.Serial {
-		p = 1
-	}
-	b.res.Insts[p]++
-	if !in.Kind.IsBranch() || !in.Taken {
-		return
-	}
+// lookup probes the BTB for a taken branch at pc, allocating on a miss.
+func (b *BTB) lookup(pc isa.Addr, p int) {
 	b.res.Lookups[p]++
 	b.clock++
 	ways := b.res.Ways
-	set := b.index(in.PC)
-	tag := b.tag(in.PC)
+	set := b.index(pc)
+	tag := b.tag(pc)
 	base := set * ways
 	for w := 0; w < ways; w++ {
 		e := &b.data[base+w]
 		if e.valid && e.tag == tag {
 			e.lru = b.clock
-			e.target = in.Target
 			return // hit
 		}
 	}
@@ -120,7 +121,7 @@ func (b *BTB) observeOne(in *isa.Inst) {
 			victim = base + w
 		}
 	}
-	b.data[victim] = entry{valid: true, tag: tag, target: in.Target, lru: b.clock}
+	b.data[victim] = entry{valid: true, tag: tag, lru: b.clock}
 }
 
 // Result snapshots the run's counters as a mergeable, encodable record.

@@ -17,28 +17,41 @@ package icache
 import (
 	"encoding/json"
 	"fmt"
+	"math/bits"
 
 	"rebalance/internal/isa"
 	"rebalance/internal/wire"
 )
 
 type line struct {
-	valid bool
-	tag   uint64
-	lru   uint32
+	tag uint64
+	lru uint32
 	// used tracks which 8-byte sectors of the line were consumed since
 	// fill, for the usefulness metric; 16 sectors cover lines up to 128B.
-	used uint16
+	used  uint16
+	valid bool
 }
 
 // Cache is a set-associative instruction cache with LRU replacement.
+//
+// Line widths and set counts are powers of two, so the per-instruction
+// path is shifts and masks: line = pc >> lineShift, set = line & setMask,
+// tag = line >> setShift. Sector usage of the line being fetched from
+// accumulates in pending and is ORed into the resident line before the
+// next probe (which may evict it) and in Finish.
 type Cache struct {
-	sets  int
 	lines []line
+	ways  int
 	clock uint32
 
+	lineShift uint
+	lineMask  uint64
+	setShift  uint
+	setMask   uint64
+
 	lastLine uint64 // last line address fetched from, +1 (0 = none)
-	lastPtr  *line  // resident entry of lastLine, for O(1) usage marking
+	lastPtr  *line  // resident entry of the line pending belongs to
+	pending  uint16 // sectors of lastPtr used since its last probe
 
 	// res accumulates the run's counters; Result() snapshots it.
 	res Result
@@ -48,19 +61,26 @@ type Cache struct {
 const sectorBytes = 8
 
 // GeometryError reports why a geometry is invalid, or nil if it is usable.
+// Line widths (8B to 128B) and set counts (size / line / ways) must be
+// powers of two; the associativity need not be.
 func GeometryError(sizeBytes, lineBytes, ways int) error {
 	if sizeBytes <= 0 || lineBytes <= 0 || ways <= 0 {
 		return fmt.Errorf("icache: invalid geometry size=%d line=%d ways=%d", sizeBytes, lineBytes, ways)
 	}
-	if lineBytes%sectorBytes != 0 || lineBytes > 16*sectorBytes {
-		return fmt.Errorf("icache: line width %dB unsupported", lineBytes)
+	if !isPow2(lineBytes) || lineBytes < sectorBytes || lineBytes > 16*sectorBytes {
+		return fmt.Errorf("icache: line width %dB unsupported: line widths must be powers of two from %dB to %dB", lineBytes, sectorBytes, 16*sectorBytes)
 	}
 	nLines := sizeBytes / lineBytes
 	if nLines == 0 || nLines%ways != 0 {
 		return fmt.Errorf("icache: size %dB / line %dB not divisible into %d ways", sizeBytes, lineBytes, ways)
 	}
+	if sets := nLines / ways; !isPow2(sets) {
+		return fmt.Errorf("icache: size %dB / line %dB / %d ways gives %d sets: set counts must be powers of two", sizeBytes, lineBytes, ways, sets)
+	}
 	return nil
 }
+
+func isPow2(n int) bool { return n > 0 && n&(n-1) == 0 }
 
 // New returns a cache of sizeBytes with the given line width and
 // associativity. Panics on inconsistent geometry, which is a programming
@@ -69,60 +89,87 @@ func New(sizeBytes, lineBytes, ways int) *Cache {
 	if err := GeometryError(sizeBytes, lineBytes, ways); err != nil {
 		panic(err.Error())
 	}
+	sets := sizeBytes / lineBytes / ways
 	c := &Cache{
-		sets:  sizeBytes / lineBytes / ways,
-		lines: make([]line, sizeBytes/lineBytes),
+		lines:     make([]line, sets*ways),
+		ways:      ways,
+		lineShift: uint(bits.TrailingZeros(uint(lineBytes))),
+		lineMask:  uint64(lineBytes - 1),
+		setShift:  uint(bits.TrailingZeros(uint(sets))),
+		setMask:   uint64(sets - 1),
 	}
 	c.res = Result{SizeBytes: sizeBytes, LineBytes: lineBytes, Ways: ways}
 	c.res.Name = c.res.geometryName()
 	return c
 }
 
-// Observe implements trace.Observer.
+// Observe implements trace.Observer through the batch path, so both
+// engines run one fetch model.
 func (c *Cache) Observe(in isa.Inst) {
-	c.observeOne(&in)
+	b := [1]isa.Inst{in}
+	c.ObserveBatch(b[:])
 }
 
-// ObserveBatch implements trace.BatchObserver, sharing the fetch model with
-// the per-instruction path while avoiding per-instruction interface
-// dispatch and struct copies.
+// ObserveBatch implements trace.BatchObserver. Per instruction it costs a
+// few shifts and masks; the cache is probed only when fetch enters a new
+// line, sequentially, by straddling, or after a taken branch. Instruction
+// sizes must be at least 1.
 func (c *Cache) ObserveBatch(batch []isa.Inst) {
+	lastLine, lastPtr, pending := c.lastLine, c.lastPtr, c.pending
+	// Shift counts are masked so the compiler drops its oversized-shift
+	// fix-up from the per-instruction path.
+	shift, mask := c.lineShift&63, c.lineMask
+	var serial int64
 	for i := range batch {
-		c.observeOne(&batch[i])
+		in := &batch[i]
+		if in.Serial {
+			serial++
+		}
+		pc := uint64(in.PC)
+		lineAddr := pc >> shift
+		// Sequential extraction within the current line costs no access.
+		if lineAddr+1 != lastLine {
+			lastPtr = c.probe(lastPtr, pending, lineAddr, in.Serial)
+			lastLine, pending = lineAddr+1, 0
+		}
+		end := pc + uint64(in.Size) - 1
+		if end>>shift == lineAddr {
+			pending |= sectors(pc&mask, end&mask)
+		} else {
+			// The instruction straddles a line boundary; fetching it
+			// requires the line holding its last byte too.
+			lastPtr = c.probe(lastPtr, pending|sectors(pc&mask, mask), end>>shift, in.Serial)
+			lastLine, pending = end>>shift+1, sectors(0, end&mask)
+		}
+		// A taken branch redirects fetch: the next instruction probes the
+		// cache even if the target lands in the same line.
+		if in.Taken && in.Kind.IsBranch() {
+			lastLine = 0
+		}
 	}
+	c.lastLine, c.lastPtr, c.pending = lastLine, lastPtr, pending
+	c.res.Insts[0] += serial
+	c.res.Insts[1] += int64(len(batch)) - serial
 }
 
-func (c *Cache) observeOne(in *isa.Inst) {
-	p := 0
-	if !in.Serial {
-		p = 1
-	}
-	c.res.Insts[p]++
+// sectors returns the mask of the sectors holding line offsets first
+// through last (first <= last < 128); the shift counts are masked like the
+// line shift.
+func sectors(first, last uint64) uint16 {
+	return uint16(2<<(last/sectorBytes&15) - 1<<(first/sectorBytes&15))
+}
 
-	lineBytes := uint64(c.res.LineBytes)
-	lineAddr := uint64(in.PC) / lineBytes
-	// Sequential extraction within the current line costs no access.
-	if lineAddr+1 != c.lastLine {
-		c.lastPtr = c.access(lineAddr, p)
-		c.lastLine = lineAddr + 1
+// probe folds the sectors used since the last probe into their line,
+// which the access may evict, then accesses lineAddr.
+func (c *Cache) probe(last *line, used uint16, lineAddr uint64, serial bool) *line {
+	if last != nil {
+		last.used |= used
 	}
-	c.markUse(c.lastPtr, uint64(in.PC), int(in.Size))
-
-	// An instruction can straddle into the next line; fetching it requires
-	// that line too.
-	endAddr := uint64(in.PC) + uint64(in.Size) - 1
-	if endLine := endAddr / lineBytes; endLine != lineAddr {
-		c.lastPtr = c.access(endLine, p)
-		c.lastLine = endLine + 1
-		c.markUse(c.lastPtr, endLine*lineBytes, int(endAddr%lineBytes)+1)
+	p := 1
+	if serial {
+		p = 0
 	}
-
-	// A taken branch redirects fetch: the next access probes the cache
-	// even if the target happens to land in the same line.
-	if in.Kind.IsBranch() && in.Taken {
-		c.lastLine = 0
-		c.lastPtr = nil
-	}
+	return c.access(lineAddr, p)
 }
 
 // access looks up a line address, updating LRU and miss counters, and
@@ -130,48 +177,31 @@ func (c *Cache) observeOne(in *isa.Inst) {
 func (c *Cache) access(lineAddr uint64, phase int) *line {
 	c.res.Accesses[phase]++
 	c.clock++
-	ways := c.res.Ways
-	set := int(lineAddr % uint64(c.sets))
-	tag := lineAddr / uint64(c.sets)
-	base := set * ways
-	for w := 0; w < ways; w++ {
-		l := &c.lines[base+w]
+	tag := lineAddr >> c.setShift
+	base := int(lineAddr&c.setMask) * c.ways
+	set := c.lines[base : base+c.ways]
+	for w := range set {
+		l := &set[w]
 		if l.valid && l.tag == tag {
 			l.lru = c.clock
 			return l
 		}
 	}
 	c.res.Misses[phase]++
-	victim := base
-	for w := 0; w < ways; w++ {
-		l := &c.lines[base+w]
+	victim := 0
+	for w := range set {
+		l := &set[w]
 		if !l.valid {
-			victim = base + w
+			victim = w
 			break
 		}
-		if l.lru < c.lines[victim].lru {
-			victim = base + w
+		if l.lru < set[victim].lru {
+			victim = w
 		}
 	}
-	c.retire(&c.lines[victim])
-	c.lines[victim] = line{valid: true, tag: tag, lru: c.clock}
-	return &c.lines[victim]
-}
-
-// markUse records consumed sectors for the usefulness metric.
-func (c *Cache) markUse(l *line, pc uint64, size int) {
-	if l == nil || !l.valid {
-		return
-	}
-	off := int(pc % uint64(c.res.LineBytes))
-	first := off / sectorBytes
-	last := (off + size - 1) / sectorBytes
-	if last >= c.res.LineBytes/sectorBytes {
-		last = c.res.LineBytes/sectorBytes - 1
-	}
-	for s := first; s <= last; s++ {
-		l.used |= 1 << s
-	}
+	c.retire(&set[victim])
+	set[victim] = line{valid: true, tag: tag, lru: c.clock}
+	return &set[victim]
 }
 
 // retire folds a victim line's usage into the usefulness accumulators.
@@ -180,21 +210,16 @@ func (c *Cache) retire(l *line) {
 		return
 	}
 	c.res.TotalSectors += int64(c.res.LineBytes / sectorBytes)
-	c.res.UsedSectors += int64(popcount16(l.used))
-}
-
-func popcount16(x uint16) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
+	c.res.UsedSectors += int64(bits.OnesCount16(l.used))
 }
 
 // Finish retires all resident lines so usefulness covers the whole run.
 // Call once after the trace ends; further observation is undefined.
 func (c *Cache) Finish() {
+	if c.lastPtr != nil {
+		c.lastPtr.used |= c.pending
+	}
+	c.lastLine, c.lastPtr, c.pending = 0, nil, 0
 	for i := range c.lines {
 		c.retire(&c.lines[i])
 		c.lines[i].valid = false

@@ -149,3 +149,43 @@ func TestMergeAfterDecodeEqualsInProcessMerge(t *testing.T) {
 		t.Errorf("wire-merged result differs from in-process merge:\n%s\n%s", we, de)
 	}
 }
+
+// TestGeometryErrorPowerOfTwo pins the geometry rule the shift/mask
+// kernel relies on: every paper and default geometry passes, and line
+// widths or set counts that are not powers of two are rejected with a
+// message naming the rule.
+func TestGeometryErrorPowerOfTwo(t *testing.T) {
+	for _, kb := range []int{8, 16, 32} {
+		for _, ways := range []int{2, 4, 8} {
+			if err := GeometryError(kb*1024, 64, ways); err != nil {
+				t.Errorf("Figure 8 geometry %dKB/64B/%d-way rejected: %v", kb, ways, err)
+			}
+		}
+	}
+	for line := 8; line <= 128; line *= 2 {
+		if err := GeometryError(16*1024, line, 4); err != nil {
+			t.Errorf("16KB/%dB/4-way rejected: %v", line, err)
+		}
+	}
+	for _, tc := range []struct {
+		name             string
+		size, line, ways int
+		wantRule         string
+	}{
+		{"line 24B", 12 * 1024, 24, 4, "line widths must be powers of two"},
+		{"line 48B", 12 * 1024, 48, 4, "line widths must be powers of two"},
+		{"line 4B", 8 * 1024, 4, 2, "line widths must be powers of two"},
+		{"line 256B", 32 * 1024, 256, 4, "line widths must be powers of two"},
+		{"96 sets", 24 * 1024, 64, 4, "set counts must be powers of two"},
+		{"3 sets", 3 * 1024, 64, 16, "set counts must be powers of two"},
+	} {
+		err := GeometryError(tc.size, tc.line, tc.ways)
+		if err == nil || !strings.Contains(err.Error(), tc.wantRule) {
+			t.Errorf("%s: err = %v, want one naming %q", tc.name, err, tc.wantRule)
+		}
+	}
+	// Associativity itself need not be a power of two.
+	if err := GeometryError(12*1024, 64, 3); err != nil {
+		t.Errorf("12KB/64B/3-way (64 sets) rejected: %v", err)
+	}
+}
